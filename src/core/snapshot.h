@@ -36,8 +36,9 @@ namespace dsa {
 
 // The snapshot container format version.  Bump on any layout change; a
 // reader faced with a different version reports kStaleVersion instead of
-// guessing at field offsets.
-inline constexpr std::uint32_t kSnapshotFormatVersion = 1;
+// guessing at field offsets.  Version 2 encodes page-table chunks sparsely
+// and backing-store slots as (slot id, words) pairs.
+inline constexpr std::uint32_t kSnapshotFormatVersion = 2;
 
 enum class SnapshotErrorKind : std::uint8_t {
   kTruncated,     // fewer bytes than the header or payload promised

@@ -15,12 +15,14 @@ const PageTableEntry& PageTable::entry(PageId page) const {
 
 void PageTable::Map(PageId page, FrameId frame) {
   DSA_ASSERT(page.value < entries_.size(), "page out of table range");
+  present_count_ += entries_[page.value].present ? 0 : 1;
   entries_[page.value] = PageTableEntry{true, frame};
   ++chunk_versions_[page.value / kChunkEntries];
 }
 
 void PageTable::Unmap(PageId page) {
   DSA_ASSERT(page.value < entries_.size(), "page out of table range");
+  present_count_ -= entries_[page.value].present ? 1 : 0;
   entries_[page.value] = PageTableEntry{};
   ++chunk_versions_[page.value / kChunkEntries];
 }
@@ -97,11 +99,56 @@ void PageTableMapper::Unmap(PageId page) {
   }
 }
 
+namespace {
+
+// Writes one chunk body (see PageTable::SaveChunk) for `size` entries.
+void EncodeChunk(const PageTableEntry* entries, std::size_t size, SnapshotWriter* w) {
+  std::uint64_t present = 0;
+  for (std::size_t i = 0; i < size; ++i) {
+    present += entries[i].present ? 1 : 0;
+  }
+  w->U64(present);
+  for (std::size_t i = 0; i < size; ++i) {
+    if (entries[i].present) {
+      w->U32(static_cast<std::uint32_t>(i));
+      w->U64(entries[i].frame.value);
+    }
+  }
+}
+
+// Reads one chunk body into `out`, the chunk's `size` entries, all absent
+// on entry.  Returns the number of present entries decoded.
+std::size_t DecodeChunk(SnapshotReader* r, std::size_t size, PageTableEntry* out) {
+  const std::uint64_t present = r->Count(size);
+  std::uint64_t next = 0;  // the least offset the next entry may take
+  for (std::uint64_t i = 0; i < present && r->ok(); ++i) {
+    const std::uint32_t offset = r->U32();
+    const FrameId frame{r->U64()};
+    if (!r->ok()) {
+      break;
+    }
+    if (offset >= size) {
+      r->Fail(SnapshotErrorKind::kBadValue, "page-table chunk offset out of range");
+    } else if (offset < next) {
+      r->Fail(SnapshotErrorKind::kBadValue, "page-table chunk offsets not strictly increasing");
+    } else {
+      out[offset] = PageTableEntry{true, frame};
+      next = std::uint64_t{offset} + 1;
+    }
+  }
+  return static_cast<std::size_t>(present);
+}
+
+std::string ChunkSectionName(std::size_t chunk) {
+  return "map.pt." + std::to_string(chunk);
+}
+
+}  // namespace
+
 void PageTable::SaveState(SnapshotWriter* w) const {
   w->U64(entries_.size());
-  for (const PageTableEntry& entry : entries_) {
-    w->Bool(entry.present);
-    w->U64(entry.frame.value);
+  for (std::size_t k = 0; k < ChunkCount(); ++k) {
+    SaveChunk(k, w);
   }
 }
 
@@ -111,14 +158,16 @@ void PageTable::LoadState(SnapshotReader* r) {
     r->Fail(SnapshotErrorKind::kBadValue, "page table size mismatch");
   }
   std::vector<PageTableEntry> entries(entries_.size());
-  for (PageTableEntry& entry : entries) {
-    entry.present = r->Bool();
-    entry.frame = FrameId{r->U64()};
+  std::size_t present = 0;
+  for (std::size_t begin = 0; begin < entries.size() && r->ok(); begin += kChunkEntries) {
+    const std::size_t size = std::min(kChunkEntries, entries.size() - begin);
+    present += DecodeChunk(r, size, entries.data() + begin);
   }
   if (!r->ok()) {
     return;
   }
   entries_ = std::move(entries);
+  present_count_ = present;
   for (std::uint64_t& version : chunk_versions_) {
     ++version;  // every chunk may have changed; stale caches must miss
   }
@@ -128,10 +177,7 @@ void PageTable::SaveChunk(std::size_t chunk, SnapshotWriter* w) const {
   DSA_ASSERT(chunk < ChunkCount(), "chunk out of range");
   const std::size_t begin = chunk * kChunkEntries;
   const std::size_t end = std::min(begin + kChunkEntries, entries_.size());
-  for (std::size_t i = begin; i < end; ++i) {
-    w->Bool(entries_[i].present);
-    w->U64(entries_[i].frame.value);
-  }
+  EncodeChunk(entries_.data() + begin, end - begin, w);
 }
 
 void PageTable::LoadChunk(std::size_t chunk, SnapshotReader* r) {
@@ -139,13 +185,14 @@ void PageTable::LoadChunk(std::size_t chunk, SnapshotReader* r) {
   const std::size_t begin = chunk * kChunkEntries;
   const std::size_t end = std::min(begin + kChunkEntries, entries_.size());
   std::vector<PageTableEntry> entries(end - begin);
-  for (PageTableEntry& entry : entries) {
-    entry.present = r->Bool();
-    entry.frame = FrameId{r->U64()};
-  }
+  const std::size_t present = DecodeChunk(r, entries.size(), entries.data());
   if (!r->ok()) {
     return;
   }
+  for (std::size_t i = begin; i < end; ++i) {
+    present_count_ -= entries_[i].present ? 1 : 0;
+  }
+  present_count_ += present;
   std::copy(entries.begin(), entries.end(), entries_.begin() + begin);
   ++chunk_versions_[chunk];
 }
@@ -176,14 +223,6 @@ void PageTableMapper::LoadState(SnapshotReader* r) {
   line_frame_ = line_frame;
   line_hits_ = line_hits;
 }
-
-namespace {
-
-std::string ChunkSectionName(std::size_t chunk) {
-  return "map.pt." + std::to_string(chunk);
-}
-
-}  // namespace
 
 void PageTableMapper::SaveSections(SectionedSnapshotWriter* w) const {
   {

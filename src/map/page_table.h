@@ -41,15 +41,20 @@ class PageTable {
   // Words of core the table occupies (one word per entry).
   WordCount TableWords() const { return entries_.size(); }
 
+  // Entries currently marked present.
+  std::size_t present_count() const { return present_count_; }
+
+  // The page count, then every chunk body in chunk order (see SaveChunk).
+  // LoadState decodes into scratch storage and changes nothing unless the
+  // whole table decodes.
   void SaveState(SnapshotWriter* w) const;
   void LoadState(SnapshotReader* r);
 
   // --- chunked view, the delta-checkpoint dirty-tracking granule ---
   // The table is split into fixed chunks of kChunkEntries entries; every
   // Map/Unmap bumps the touched chunk's version, so a serialization cache
-  // keyed on versions knows exactly which chunk bodies are stale.  This is
-  // what collapses the ~2.3 MB page-table floor under steady-state tenant
-  // snapshots: a commit re-encodes only the chunks the pager touched.
+  // keyed on versions knows exactly which chunk bodies are stale: a commit
+  // re-encodes only the chunks the pager touched.
   static constexpr std::size_t kChunkEntries = 4096;
 
   std::size_t ChunkCount() const {
@@ -57,14 +62,19 @@ class PageTable {
   }
   std::uint64_t chunk_version(std::size_t chunk) const { return chunk_versions_[chunk]; }
 
-  // Serializes/loads one chunk's entries (no count prefix; the chunk's size
-  // is implied by the table geometry).
+  // Serializes/loads one chunk sparsely: a u64 count of present entries,
+  // then per present entry a u32 in-chunk offset and a u64 frame, offsets
+  // strictly increasing.  Absent entries cost nothing, so a chunk body
+  // scales with the pages mapped, not with the name space.  LoadChunk
+  // rejects a count above the chunk size, an offset out of range, and a
+  // repeated or backward offset as kBadValue, leaving the chunk untouched.
   void SaveChunk(std::size_t chunk, SnapshotWriter* w) const;
   void LoadChunk(std::size_t chunk, SnapshotReader* r);
 
  private:
   std::vector<PageTableEntry> entries_;
   std::vector<std::uint64_t> chunk_versions_;
+  std::size_t present_count_{0};
 };
 
 // Name -> (page, offset) -> frame via the page table, with an optional TLB.

@@ -1,35 +1,27 @@
 #include "src/mem/backing_store.h"
 
 #include <algorithm>
+#include <utility>
+#include <vector>
 
 #include "src/core/assert.h"
 
 namespace dsa {
 
-Cycles BackingStore::Store(SlotId slot, std::vector<Word> data) {
+Cycles BackingStore::Store(SlotId slot, WordCount words) {
   DSA_ASSERT(!IsBad(slot), "storing to a retired slot");
-  const Cycles cost = level_.TransferTime(data.size());
-  auto it = slots_.find(slot);
-  if (it != slots_.end()) {
-    occupied_words_ -= it->second.size();
-  }
-  occupied_words_ += data.size();
-  slots_[slot] = std::move(data);
+  const Cycles cost = level_.TransferTime(words);
+  WordCount& held = slots_[slot];
+  occupied_words_ = occupied_words_ - held + words;
+  held = words;
   ++stores_;
   busy_cycles_ += cost;
   return cost;
 }
 
-Cycles BackingStore::Fetch(SlotId slot, WordCount words, std::vector<Word>* out) const {
+Cycles BackingStore::Fetch(SlotId slot, WordCount words) const {
   DSA_ASSERT(!IsBad(slot), "fetching from a retired slot");
   const Cycles cost = level_.TransferTime(words);
-  auto it = slots_.find(slot);
-  if (it == slots_.end()) {
-    out->assign(words, Word{0});
-  } else {
-    *out = it->second;
-    out->resize(words, Word{0});
-  }
   ++fetches_;
   busy_cycles_ += cost;
   return cost;
@@ -38,7 +30,7 @@ Cycles BackingStore::Fetch(SlotId slot, WordCount words, std::vector<Word>* out)
 void BackingStore::Discard(SlotId slot) {
   auto it = slots_.find(slot);
   if (it != slots_.end()) {
-    occupied_words_ -= it->second.size();
+    occupied_words_ -= it->second;
     slots_.erase(it);
   }
 }
@@ -56,20 +48,12 @@ std::optional<BackingStore::SlotId> BackingStore::AllocateSpareSlot(WordCount wo
 }
 
 void BackingStore::SaveState(SnapshotWriter* w) const {
-  std::vector<SlotId> ids;
-  ids.reserve(slots_.size());
-  for (const auto& [id, words] : slots_) {
-    ids.push_back(id);
-  }
-  std::sort(ids.begin(), ids.end());
-  w->U64(ids.size());
-  for (SlotId id : ids) {
-    const std::vector<Word>& words = slots_.at(id);
+  std::vector<std::pair<SlotId, WordCount>> slots(slots_.begin(), slots_.end());
+  std::sort(slots.begin(), slots.end());
+  w->U64(slots.size());
+  for (const auto& [id, words] : slots) {
     w->U64(id);
-    w->U64(words.size());
-    for (Word word : words) {
-      w->U64(word);
-    }
+    w->U64(words);
   }
   std::vector<SlotId> bad(bad_slots_.begin(), bad_slots_.end());
   std::sort(bad.begin(), bad.end());
@@ -86,19 +70,14 @@ void BackingStore::SaveState(SnapshotWriter* w) const {
 
 void BackingStore::LoadState(SnapshotReader* r) {
   const std::uint64_t slot_count = r->Count(level_.capacity_words + 1);
-  std::unordered_map<SlotId, std::vector<Word>> slots;
+  std::unordered_map<SlotId, WordCount> slots;
   slots.reserve(slot_count);
   WordCount total_words = 0;
   for (std::uint64_t i = 0; i < slot_count && r->ok(); ++i) {
     const SlotId id = r->U64();
-    const std::uint64_t words = r->Count(level_.capacity_words);
-    std::vector<Word> data;
-    data.reserve(words);
-    for (std::uint64_t j = 0; j < words && r->ok(); ++j) {
-      data.push_back(r->U64());
-    }
-    total_words += data.size();
-    if (!slots.emplace(id, std::move(data)).second) {
+    const WordCount words = r->Count(level_.capacity_words);
+    total_words += words;
+    if (r->ok() && !slots.emplace(id, words).second) {
       r->Fail(SnapshotErrorKind::kBadValue, "duplicate backing-store slot id");
       return;
     }
@@ -115,7 +94,7 @@ void BackingStore::LoadState(SnapshotReader* r) {
   const std::uint64_t fetches = r->U64();
   const Cycles busy = r->U64();
   if (r->ok() && occupied != total_words) {
-    r->Fail(SnapshotErrorKind::kBadValue, "occupied-words does not match slot contents");
+    r->Fail(SnapshotErrorKind::kBadValue, "occupied-words does not match the slot sizes");
   }
   if (r->ok() && next_spare < kSpareSlotBase) {
     r->Fail(SnapshotErrorKind::kBadValue, "spare-slot cursor below the spare base");

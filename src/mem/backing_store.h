@@ -1,8 +1,9 @@
 // Backing storage (drum/disk/tape) holding pages or segments by slot id.
 //
-// Content is kept so transfers round-trip; timing comes from the level spec.
-// Slots are sized by the caller (a page for paging systems, a whole segment
-// for the B5000/Rice machines).
+// A slot records only that it is occupied and how many words it holds: no
+// simulated decision reads the words a page contains, so none are stored.
+// Timing comes from the level spec.  Slots are sized by the caller (a page
+// for paging systems, a whole segment for the B5000/Rice machines).
 //
 // Fault injection (src/mem/fault_injection.h) can retire individual slots as
 // permanently bad — a drum sector whose parity check fails for good.  A bad
@@ -16,7 +17,6 @@
 #include <optional>
 #include <unordered_map>
 #include <unordered_set>
-#include <vector>
 
 #include "src/core/snapshot.h"
 #include "src/core/types.h"
@@ -36,16 +36,17 @@ class BackingStore {
 
   const StorageLevel& level() const { return level_; }
 
-  // True if the slot has ever been stored (an unstored slot reads as zeros,
-  // modelling the zero-fill of a first-touch page).
+  // True if the slot has been stored and not since discarded (an unstored
+  // slot models the zero-fill of a first-touch page).
   bool Contains(SlotId slot) const { return slots_.contains(slot); }
 
-  // Writes `data` to `slot`, charging transfer time for data.size() words.
-  Cycles Store(SlotId slot, std::vector<Word> data);
+  // Writes `words` words to `slot` (replacing any earlier copy), charging
+  // transfer time for them.
+  Cycles Store(SlotId slot, WordCount words);
 
-  // Reads `words` words of `slot` into `out` (zero-filled when absent),
-  // charging transfer time.
-  Cycles Fetch(SlotId slot, WordCount words, std::vector<Word>* out) const;
+  // Reads `words` words of `slot`, charging transfer time; an absent slot
+  // costs the same as a present one.
+  Cycles Fetch(SlotId slot, WordCount words) const;
 
   // Drops a slot without a transfer (a destroyed segment's backing copy).
   void Discard(SlotId slot);
@@ -71,10 +72,12 @@ class BackingStore {
 
   std::size_t slot_count() const { return slots_.size(); }
 
-  // Checkpoint serialization: slot contents (sorted by slot id so the bytes
-  // are deterministic regardless of hash-table iteration order), bad slots,
-  // the spare-slot cursor, and the transfer counters.  The level spec itself
-  // is construction-time configuration and is not serialized.
+  // Checkpoint serialization: (slot id, words) pairs sorted by slot id (so
+  // the bytes are deterministic regardless of hash-table iteration order),
+  // bad slots, the spare-slot cursor, and the transfer counters.  The level
+  // spec itself is construction-time configuration and is not serialized.
+  // LoadState rejects a repeated slot id, and slot sizes that do not sum to
+  // the recorded occupied words, as kBadValue.
   void SaveState(SnapshotWriter* w) const;
   void LoadState(SnapshotReader* r);
 
@@ -85,7 +88,7 @@ class BackingStore {
 
  private:
   StorageLevel level_;
-  std::unordered_map<SlotId, std::vector<Word>> slots_;
+  std::unordered_map<SlotId, WordCount> slots_;  // slot -> words held
   std::unordered_set<SlotId> bad_slots_;
   SlotId next_spare_{kSpareSlotBase};
   WordCount occupied_words_{0};

@@ -1,7 +1,5 @@
 #include "src/paging/hierarchy_pager.h"
 
-#include <vector>
-
 #include "src/core/assert.h"
 #include "src/obs/tracer.h"
 
@@ -82,8 +80,7 @@ std::optional<BackingStore::SlotId> HierarchyPager::StorePage(BackingStore& stor
     DSA_TRACE_EMIT(tracer_, EventKind::kTransferStart, page.value, level_index,
                    /*direction=*/1);
     channel.Schedule(store.level(), config_.page_words, now);
-    [[maybe_unused]] const Cycles store_cycles =
-        store.Store(slot, std::vector<Word>(config_.page_words, Word{0}));
+    [[maybe_unused]] const Cycles store_cycles = store.Store(slot, config_.page_words);
     DSA_TRACE_EMIT(tracer_, EventKind::kTransferComplete, page.value, level_index,
                    store_cycles);
     const TransferFaultKind fault = injector_ != nullptr
@@ -256,7 +253,6 @@ Expected<Cycles, PageAccessError> HierarchyPager::Access(PageId page, AccessKind
   const int max_retries = injector_ != nullptr ? injector_->max_retries() : 0;
   if (store != nullptr) {
     const BackingStore::SlotId slot = SlotFor(page);
-    std::vector<Word> data;
     for (int attempt = 0;; ++attempt) {
       DSA_TRACE_EMIT(tracer_, EventKind::kTransferStart, page.value, level_index,
                      /*direction=*/0);
@@ -266,7 +262,7 @@ Expected<Cycles, PageAccessError> HierarchyPager::Access(PageId page, AccessKind
       if (attempt > 0) {
         rel.retry_cycles += attempt_wait;
       }
-      store->Fetch(slot, config_.page_words, &data);
+      store->Fetch(slot, config_.page_words);
       DSA_TRACE_EMIT(tracer_, EventKind::kTransferComplete, page.value, level_index,
                      attempt_wait);
       const TransferFaultKind fault = injector_ != nullptr

@@ -111,11 +111,10 @@ Status<PageAccessError> Pager::WriteBack(PageId page, Cycles now) {
     // program's critical path; later fetches queue behind them.
     DSA_TRACE_EMIT(tracer_, EventKind::kTransferStart, page.value, kBackingLevel,
                    /*direction=*/1);
-    std::vector<Word> data(config_.page_words, Word{0});
     if (channel_ != nullptr) {
       channel_->Schedule(backing_->level(), config_.page_words, now);
     }
-    const Cycles store_cycles = backing_->Store(slot, std::move(data));
+    const Cycles store_cycles = backing_->Store(slot, config_.page_words);
     stats_.transfer_cycles += store_cycles;
     DSA_TRACE_EMIT(tracer_, EventKind::kTransferComplete, page.value, kBackingLevel,
                    store_cycles);
@@ -218,15 +217,14 @@ Cycles Pager::ChargeFetchTransfer(PageId page, Cycles at) {
     DSA_TRACE_EMIT(tracer_, EventKind::kTransferComplete, page.value, kBackingLevel, wait);
     return wait;
   }
-  std::vector<Word> data;
   if (channel_ != nullptr) {
     const TransferChannel::Completion done =
         channel_->Schedule(backing_->level(), config_.page_words, at);
     wait = done.finish - at;
     // Account the device time once; Fetch() tracks device-side counters.
-    stats_.transfer_cycles += backing_->Fetch(slot, config_.page_words, &data);
+    stats_.transfer_cycles += backing_->Fetch(slot, config_.page_words);
   } else {
-    wait = backing_->Fetch(slot, config_.page_words, &data);
+    wait = backing_->Fetch(slot, config_.page_words);
     stats_.transfer_cycles += wait;
   }
   DSA_TRACE_EMIT(tracer_, EventKind::kTransferComplete, page.value, kBackingLevel, wait);

@@ -124,11 +124,10 @@ void SegmentManager::Evict(SegmentId victim, Cycles now) {
     ++stats_.writebacks;
     DSA_TRACE_EMIT(tracer_, EventKind::kTransferStart, victim.value, /*level=*/0,
                    /*direction=*/1);
-    std::vector<Word> data(info.extent, Word{0});
     if (channel_ != nullptr) {
       channel_->Schedule(backing_->level(), info.extent, now);
     }
-    [[maybe_unused]] const Cycles store_cycles = backing_->Store(victim.value, std::move(data));
+    [[maybe_unused]] const Cycles store_cycles = backing_->Store(victim.value, info.extent);
     DSA_TRACE_EMIT(tracer_, EventKind::kTransferComplete, victim.value, /*level=*/0,
                    store_cycles);
     info.has_backing_copy = true;
@@ -182,15 +181,14 @@ Cycles SegmentManager::FetchInto(SegmentId segment, Block block, Cycles now) {
   SegmentInfo& info = InfoFor(segment);
   DSA_TRACE_EMIT(tracer_, EventKind::kTransferStart, segment.value, /*level=*/0,
                  /*direction=*/0);
-  std::vector<Word> data;
   Cycles wait = 0;
   if (channel_ != nullptr) {
     const TransferChannel::Completion done =
         channel_->Schedule(backing_->level(), info.extent, now);
     wait = done.finish - now;
-    backing_->Fetch(segment.value, info.extent, &data);
+    backing_->Fetch(segment.value, info.extent);
   } else {
-    wait = backing_->Fetch(segment.value, info.extent, &data);
+    wait = backing_->Fetch(segment.value, info.extent);
   }
   DSA_TRACE_EMIT(tracer_, EventKind::kTransferComplete, segment.value, /*level=*/0, wait);
   info.present = true;

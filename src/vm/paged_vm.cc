@@ -11,6 +11,8 @@ namespace dsa {
 
 namespace {
 
+constexpr const char* kResidencyMismatch = "page table disagrees with the pager's residency map";
+
 std::unique_ptr<FetchPolicy> MakeFetchPolicy(const PagedVmConfig& config,
                                              AdviceRegistry* advice,
                                              std::uint64_t page_count) {
@@ -214,6 +216,33 @@ Characteristics PagedLinearVm::characteristics() const {
   return c;
 }
 
+bool PagedLinearVm::PageTableMatchesResidency() const {
+  if (config_.mapper != PagedMapperKind::kPageTable) {
+    return true;
+  }
+  const PageTable& table = static_cast<const PageTableMapper&>(*mapper_).table();
+  // The pager's own load has matched its residency map to the frame
+  // table's occupants one for one, so walking the frames walks that map.
+  const FrameTable& frames = pager_->frames();
+  if (table.present_count() != frames.occupied_count()) {
+    return false;
+  }
+  for (std::size_t f = 0; f < frames.frame_count(); ++f) {
+    const FrameInfo& info = frames.info(FrameId{f});
+    if (!info.occupied) {
+      continue;
+    }
+    if (info.page.value >= table.page_count()) {
+      return false;
+    }
+    const PageTableEntry& entry = table.entry(info.page);
+    if (!entry.present || entry.frame.value != f) {
+      return false;
+    }
+  }
+  return true;
+}
+
 void PagedLinearVm::SaveState(SnapshotWriter* w) const {
   w->U64(clock_.now());
   backing_->SaveState(w);
@@ -264,6 +293,9 @@ void PagedLinearVm::LoadState(SnapshotReader* r) {
       break;
   }
   pager_->LoadState(r);
+  if (r->ok() && !PageTableMatchesResidency()) {
+    r->Fail(SnapshotErrorKind::kBadValue, kResidencyMismatch);
+  }
   SpaceTime space_time;
   space_time.active = r->F64();
   space_time.waiting = r->F64();
@@ -373,6 +405,9 @@ void PagedLinearVm::LoadSections(SectionSource* src) {
     SnapshotReader r = src->Open("vm.pager");
     pager_->LoadState(&r);
     src->Close(&r, "vm.pager");
+  }
+  if (src->ok() && !PageTableMatchesResidency()) {
+    src->Fail(SnapshotErrorKind::kBadValue, kResidencyMismatch);
   }
   SpaceTime space_time;
   std::uint64_t references = 0, bounds_violations = 0;

@@ -104,8 +104,10 @@ class PagedLinearVm : public StorageAllocationSystem {
   // decision state, residency), the fault stream position, the advice
   // registry, the space-time integrals, and the step counters.  LoadState
   // expects a freshly Reset() system built from the identical config; any
-  // inconsistency is reported through the reader.  After a successful load,
-  // Step produces the bit-identical continuation of the checkpointed run.
+  // inconsistency is reported through the reader; that includes a page
+  // table whose present entries differ from the pager's residency map
+  // (kBadValue).  After a successful load, Step produces the bit-identical
+  // continuation of the checkpointed run.
   void SaveState(SnapshotWriter* w) const;
   void LoadState(SnapshotReader* r);
 
@@ -122,6 +124,10 @@ class PagedLinearVm : public StorageAllocationSystem {
 
  private:
   PageId PageOf(Name name) const { return PageId{name.value / config_.page_words}; }
+
+  // True when the page table maps exactly the pages the pager holds, each
+  // to the frame holding it (always true under the atlas mapper).
+  bool PageTableMatchesResidency() const;
 
   PagedVmConfig config_;
   LinearNameSpace names_;

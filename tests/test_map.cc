@@ -3,6 +3,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <string>
+#include <utility>
+#include <vector>
+
+#include "src/core/snapshot.h"
 #include "src/map/associative_memory.h"
 #include "src/map/block_table.h"
 #include "src/map/mapper.h"
@@ -227,6 +233,115 @@ TEST(PageTableMapperTest, NameBeyondTableIsInvalid) {
 }
 
 // --- AtlasPageRegisterMapper -------------------------------------------------------------
+
+// --- PageTable sparse chunk encoding ---------------------------------------------
+
+// A chunk body: u64 present count, then (u32 offset, u64 frame) per entry.
+std::string ChunkBody(std::uint64_t count,
+                      const std::vector<std::pair<std::uint32_t, std::uint64_t>>& entries) {
+  SnapshotWriter w;
+  w.U64(count);
+  for (const auto& [offset, frame] : entries) {
+    w.U32(offset);
+    w.U64(frame);
+  }
+  return w.TakePayload();
+}
+
+TEST(PageTableTest, ChunkBodyHoldsOnlyPresentEntries) {
+  PageTable table(5000);  // chunk 0 holds 4096 entries, chunk 1 the other 904
+  ASSERT_EQ(table.ChunkCount(), 2u);
+  table.Map(PageId{4097}, FrameId{3});
+  table.Map(PageId{4999}, FrameId{1});
+  table.Map(PageId{4100}, FrameId{2});
+  table.Unmap(PageId{4100});
+  EXPECT_EQ(table.present_count(), 2u);
+
+  SnapshotWriter w0;
+  table.SaveChunk(0, &w0);
+  EXPECT_EQ(w0.TakePayload(), ChunkBody(0, {}));
+  SnapshotWriter w1;
+  table.SaveChunk(1, &w1);
+  const std::string body = w1.TakePayload();
+  EXPECT_EQ(body, ChunkBody(2, {{1, 3}, {903, 1}}));
+
+  PageTable loaded(5000);
+  loaded.Map(PageId{4098}, FrameId{7});  // overwritten by the load
+  loaded.Map(PageId{5}, FrameId{6});     // another chunk: kept
+  SnapshotReader r = SnapshotReader::ForPayload(body);
+  loaded.LoadChunk(1, &r);
+  ASSERT_TRUE(r.ok() && r.AtEnd()) << r.error().Describe();
+  EXPECT_FALSE(loaded.entry(PageId{4098}).present);
+  EXPECT_EQ(loaded.entry(PageId{4097}).frame, FrameId{3});
+  EXPECT_EQ(loaded.entry(PageId{4999}).frame, FrameId{1});
+  EXPECT_TRUE(loaded.entry(PageId{5}).present);
+  EXPECT_EQ(loaded.present_count(), 3u);
+}
+
+TEST(PageTableTest, FlatSaveIsSizeThenEveryChunkBody) {
+  PageTable table(5000);
+  table.Map(PageId{10}, FrameId{0});
+  table.Map(PageId{4500}, FrameId{1});
+  SnapshotWriter flat;
+  table.SaveState(&flat);
+  SnapshotWriter expected;
+  expected.U64(5000);
+  SnapshotWriter chunk;
+  for (std::size_t k = 0; k < table.ChunkCount(); ++k) {
+    table.SaveChunk(k, &chunk);
+  }
+  const std::string chunks = chunk.TakePayload();
+  for (char c : chunks) {
+    expected.U8(static_cast<std::uint8_t>(c));
+  }
+  const std::string payload = flat.TakePayload();
+  EXPECT_EQ(payload, expected.TakePayload());
+
+  PageTable loaded(5000);
+  SnapshotReader r = SnapshotReader::ForPayload(payload);
+  loaded.LoadState(&r);
+  ASSERT_TRUE(r.ok() && r.AtEnd()) << r.error().Describe();
+  EXPECT_EQ(loaded.present_count(), 2u);
+  EXPECT_EQ(loaded.entry(PageId{4500}).frame, FrameId{1});
+}
+
+TEST(PageTableTest, SparseChunkDecoderRejectsMalformedBodies) {
+  const std::vector<std::string> bad = {
+      ChunkBody(905, {}),                  // count above the 904-entry chunk
+      ChunkBody(1, {{904, 0}}),            // offset out of range
+      ChunkBody(2, {{3, 0}, {3, 1}}),      // repeated offset
+      ChunkBody(2, {{5, 0}, {3, 1}}),      // offsets going backwards
+  };
+  for (const std::string& body : bad) {
+    PageTable table(5000);
+    table.Map(PageId{4100}, FrameId{2});
+    SnapshotReader r = SnapshotReader::ForPayload(body);
+    table.LoadChunk(1, &r);
+    ASSERT_FALSE(r.ok());
+    EXPECT_EQ(r.error().kind, SnapshotErrorKind::kBadValue) << r.error().Describe();
+    // A rejected chunk leaves the table as it was.
+    EXPECT_EQ(table.present_count(), 1u);
+    EXPECT_EQ(table.entry(PageId{4100}).frame, FrameId{2});
+    EXPECT_FALSE(table.entry(PageId{4096 + 3}).present);
+
+    // The flat path decodes the same bodies and is all-or-nothing too.
+    SnapshotWriter flat;
+    flat.U64(5000);
+    for (int i = 0; i < 8; ++i) {
+      flat.U8(0);  // chunk 0: no present entries
+    }
+    for (char c : body) {
+      flat.U8(static_cast<std::uint8_t>(c));
+    }
+    const std::string payload = flat.TakePayload();
+    SnapshotReader fr = SnapshotReader::ForPayload(payload);
+    table.LoadState(&fr);
+    ASSERT_FALSE(fr.ok());
+    EXPECT_EQ(fr.error().kind, SnapshotErrorKind::kBadValue);
+    EXPECT_EQ(table.present_count(), 1u);
+    EXPECT_EQ(table.entry(PageId{4100}).frame, FrameId{2});
+  }
+}
 
 TEST(AtlasMapperTest, AssociativeSearchMapsDirectly) {
   AtlasPageRegisterMapper mapper(512, /*frames=*/4);

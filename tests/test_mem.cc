@@ -3,6 +3,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <string>
+#include <utility>
+#include <vector>
+
+#include "src/core/snapshot.h"
 #include "src/mem/backing_store.h"
 #include "src/mem/channel.h"
 #include "src/mem/core_store.h"
@@ -94,36 +100,52 @@ TEST(CoreStoreDeathTest, OutOfBoundsAccessAborts) {
 
 TEST(BackingStoreTest, FetchOfUnstoredSlotZeroFills) {
   BackingStore store(MakeDrumLevel("drum", 4096, 4, 100));
-  std::vector<Word> out;
-  const Cycles cost = store.Fetch(7, 16, &out);
+  const Cycles cost = store.Fetch(7, 16);
   EXPECT_EQ(cost, 100u + 16 * 4);
-  ASSERT_EQ(out.size(), 16u);
-  for (Word w : out) {
-    EXPECT_EQ(w, 0u);
-  }
   EXPECT_FALSE(store.Contains(7));
+  EXPECT_EQ(store.OccupiedWords(), 0u);
 }
 
-TEST(BackingStoreTest, StoreFetchRoundTrip) {
+TEST(BackingStoreTest, RestoreWithNewSizeAdjustsOccupiedWords) {
   BackingStore store(MakeDrumLevel("drum", 4096, 4, 100));
-  store.Store(3, {11, 22, 33});
-  std::vector<Word> out;
-  store.Fetch(3, 3, &out);
-  EXPECT_EQ(out, (std::vector<Word>{11, 22, 33}));
+  store.Store(3, 16);
+  store.Store(4, 8);
+  EXPECT_EQ(store.OccupiedWords(), 24u);
+  store.Store(3, 5);  // re-storing replaces the slot's size, not adds to it
+  EXPECT_EQ(store.OccupiedWords(), 13u);
+  store.Store(3, 40);
+  EXPECT_EQ(store.OccupiedWords(), 48u);
+  EXPECT_EQ(store.slot_count(), 2u);
+}
+
+TEST(BackingStoreTest, ContainsTracksStoreAndDiscard) {
+  BackingStore store(MakeDrumLevel("drum", 4096, 4, 100));
+  EXPECT_FALSE(store.Contains(3));
+  store.Store(3, 16);
+  EXPECT_TRUE(store.Contains(3));
+  EXPECT_FALSE(store.Contains(4));
+  store.Discard(3);
+  EXPECT_FALSE(store.Contains(3));
+  store.Discard(3);  // discarding an absent slot is a no-op
+  EXPECT_EQ(store.OccupiedWords(), 0u);
+  store.Store(3, 2);
   EXPECT_TRUE(store.Contains(3));
 }
 
-TEST(BackingStoreTest, FetchPadsShortSlots) {
+TEST(BackingStoreTest, AbsentSlotFetchCostsTheSameAsPresent) {
   BackingStore store(MakeDrumLevel("drum", 4096, 4, 100));
-  store.Store(1, {5});
-  std::vector<Word> out;
-  store.Fetch(1, 3, &out);
-  EXPECT_EQ(out, (std::vector<Word>{5, 0, 0}));
+  store.Store(1, 64);
+  const Cycles present = store.Fetch(1, 64);
+  const Cycles absent = store.Fetch(2, 64);
+  EXPECT_EQ(present, absent);
+  EXPECT_EQ(present, 100u + 64 * 4);
+  EXPECT_EQ(store.fetches(), 2u);
+  EXPECT_EQ(store.busy_cycles(), 3 * present);  // one store, two fetches
 }
 
 TEST(BackingStoreTest, DiscardRemovesSlot) {
   BackingStore store(MakeDrumLevel("drum", 4096, 4, 100));
-  store.Store(1, {5});
+  store.Store(1, 1);
   store.Discard(1);
   EXPECT_FALSE(store.Contains(1));
   EXPECT_EQ(store.OccupiedWords(), 0u);
@@ -131,14 +153,84 @@ TEST(BackingStoreTest, DiscardRemovesSlot) {
 
 TEST(BackingStoreTest, AccountingCountersAdvance) {
   BackingStore store(MakeDrumLevel("drum", 4096, 4, 100));
-  store.Store(1, {1, 2});
-  std::vector<Word> out;
-  store.Fetch(1, 2, &out);
+  store.Store(1, 2);
+  store.Fetch(1, 2);
   EXPECT_EQ(store.stores(), 1u);
   EXPECT_EQ(store.fetches(), 1u);
   EXPECT_EQ(store.busy_cycles(), (100u + 8) * 2);
   EXPECT_EQ(store.OccupiedWords(), 2u);
   EXPECT_EQ(store.slot_count(), 1u);
+}
+
+// The vm.backing section: (slot id, words) pairs sorted by id, the bad
+// slots, the spare cursor, occupied words, then the transfer counters.
+std::string SealBackingSection(const std::vector<std::pair<std::uint64_t, std::uint64_t>>& slots,
+                               std::uint64_t occupied) {
+  SnapshotWriter w;
+  w.U64(slots.size());
+  for (const auto& [id, words] : slots) {
+    w.U64(id);
+    w.U64(words);
+  }
+  w.U64(0);  // no bad slots
+  w.U64(BackingStore::kSpareSlotBase);
+  w.U64(occupied);
+  w.U64(3);    // stores
+  w.U64(1);    // fetches
+  w.U64(999);  // busy cycles
+  return w.Seal();
+}
+
+TEST(BackingStoreTest, SaveLoadRoundTripsSlotSizesAndCounters) {
+  const StorageLevel drum = MakeDrumLevel("drum", 4096, 4, 100);
+  BackingStore store(drum);
+  store.Store(9, 64);
+  store.Store(2, 16);
+  store.Fetch(9, 64);
+  store.MarkBad(5);
+  SnapshotWriter w;
+  store.SaveState(&w);
+  const std::string sealed = w.Seal();
+
+  BackingStore loaded(drum);
+  SnapshotReader r(sealed);
+  loaded.LoadState(&r);
+  ASSERT_TRUE(r.ok() && r.AtEnd()) << r.error().Describe();
+  EXPECT_TRUE(loaded.Contains(9));
+  EXPECT_TRUE(loaded.Contains(2));
+  EXPECT_TRUE(loaded.IsBad(5));
+  EXPECT_EQ(loaded.OccupiedWords(), 80u);
+  EXPECT_EQ(loaded.stores(), 2u);
+  EXPECT_EQ(loaded.fetches(), 1u);
+  EXPECT_EQ(loaded.busy_cycles(), store.busy_cycles());
+  SnapshotWriter again;
+  loaded.SaveState(&again);
+  EXPECT_EQ(again.Seal(), sealed);
+}
+
+TEST(BackingStoreTest, LoadRejectsRepeatedSlotAndSizeMismatch) {
+  const StorageLevel drum = MakeDrumLevel("drum", 4096, 4, 100);
+  {
+    const std::string ok = SealBackingSection({{1, 64}, {2, 16}}, 80);
+    BackingStore store(drum);
+    SnapshotReader r(ok);
+    store.LoadState(&r);
+    ASSERT_TRUE(r.ok() && r.AtEnd()) << r.error().Describe();
+  }
+  for (const std::string& bad : {SealBackingSection({{1, 64}, {1, 16}}, 80),
+                                 SealBackingSection({{1, 64}, {2, 16}}, 81),
+                                 SealBackingSection({{1, 64}, {2, 16}}, 64)}) {
+    BackingStore store(drum);
+    store.Store(7, 8);
+    SnapshotReader r(bad);
+    store.LoadState(&r);
+    ASSERT_FALSE(r.ok());
+    EXPECT_EQ(r.error().kind, SnapshotErrorKind::kBadValue) << r.error().Describe();
+    // A rejected load changes nothing.
+    EXPECT_TRUE(store.Contains(7));
+    EXPECT_FALSE(store.Contains(1));
+    EXPECT_EQ(store.OccupiedWords(), 8u);
+  }
 }
 
 // --- TransferChannel --------------------------------------------------------------
@@ -196,7 +288,7 @@ TEST(PackingChannelTest, AutonomousChannelHasSetupButCheaperWords) {
 
 TEST(BackingStoreTest, MarkBadRetiresSlotAndDropsContent) {
   BackingStore store(MakeDrumLevel("drum", 1024, 2, 100));
-  store.Store(3, std::vector<Word>(16, Word{7}));
+  store.Store(3, 16);
   ASSERT_TRUE(store.Contains(3));
   ASSERT_EQ(store.OccupiedWords(), 16u);
 
@@ -220,7 +312,7 @@ TEST(BackingStoreTest, SpareSlotsAllocateAboveCallerRange) {
 
 TEST(BackingStoreTest, SpareSlotAllocationRespectsCapacity) {
   BackingStore store(MakeDrumLevel("drum", 128, 2, 100));
-  store.Store(0, std::vector<Word>(100, Word{1}));
+  store.Store(0, 100);
   EXPECT_TRUE(store.HasRoomFor(28));
   EXPECT_FALSE(store.HasRoomFor(29));
   EXPECT_FALSE(store.AllocateSpareSlot(64).has_value());  // would overflow
@@ -232,14 +324,13 @@ TEST(BackingStoreTest, SpareSlotAllocationRespectsCapacity) {
 TEST(BackingStoreDeathTest, StoreToBadSlotAborts) {
   BackingStore store(MakeDrumLevel("drum", 1024, 2, 100));
   store.MarkBad(5);
-  EXPECT_DEATH(store.Store(5, std::vector<Word>(4, Word{0})), "retired");
+  EXPECT_DEATH(store.Store(5, 4), "retired");
 }
 
 TEST(BackingStoreDeathTest, FetchFromBadSlotAborts) {
   BackingStore store(MakeDrumLevel("drum", 1024, 2, 100));
   store.MarkBad(5);
-  std::vector<Word> out;
-  EXPECT_DEATH(store.Fetch(5, 4, &out), "retired");
+  EXPECT_DEATH(store.Fetch(5, 4), "retired");
 }
 
 // --- StorageHierarchy ----------------------------------------------------------------

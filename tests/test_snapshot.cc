@@ -8,10 +8,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/core/rng.h"
@@ -434,6 +437,209 @@ TEST(PagedVmSnapshotTest, FaultInjectedRunResumesIdentically) {
   resumed.LoadState(&r);
   ASSERT_TRUE(r.ok() && r.AtEnd()) << r.error().Describe();
   EXPECT_EQ(StepAll(&resumed, trace, cut), expected);
+}
+
+// --- Restore cross-checks over mutated page-table chunks.
+
+using Sections = std::vector<std::pair<std::string, std::string>>;
+using ChunkEntries = std::vector<std::pair<std::uint32_t, std::uint64_t>>;
+
+// The (name, body) sections of a full sectioned seal, in seal order.
+Sections SplitFullSeal(const std::string& sealed) {
+  SnapshotReader r(sealed);
+  EXPECT_EQ(r.U8(), 0u);  // full
+  Sections sections(r.U64());
+  for (auto& [name, body] : sections) {
+    name = r.Str();
+    EXPECT_EQ(r.U8(), 0u);  // inline
+    body = r.Str();
+  }
+  EXPECT_TRUE(r.ok() && r.AtEnd()) << r.error().Describe();
+  return sections;
+}
+
+// Re-seals sections as a full cut, with a valid checksum.
+std::string SealSections(const Sections& sections) {
+  SectionedSnapshotWriter w;
+  for (const auto& [name, body] : sections) {
+    w.Section(name, body);
+  }
+  return w.SealFull();
+}
+
+// The flat SaveState cut built from the same section bodies: the flat
+// layout is the sections in order, except that the page-table size (the
+// first field of map.head) leads the chunk bodies and the rest of map.head
+// follows them.
+std::string FlatFromSections(const Sections& sections) {
+  std::string payload;
+  std::string head_tail;
+  for (const auto& [name, body] : sections) {
+    if (name == "map.head") {
+      payload += body.substr(0, 8);
+      head_tail = body.substr(8);
+    } else if (name.starts_with("map.pt.")) {
+      payload += body;
+    } else {
+      payload += head_tail;
+      head_tail.clear();
+      payload += body;
+    }
+  }
+  SnapshotWriter w;
+  for (char c : payload) {
+    w.U8(static_cast<std::uint8_t>(c));
+  }
+  return w.Seal();
+}
+
+ChunkEntries DecodeChunkBody(const std::string& body) {
+  SnapshotReader r = SnapshotReader::ForPayload(body);
+  ChunkEntries entries(r.U64());
+  for (auto& [offset, frame] : entries) {
+    offset = r.U32();
+    frame = r.U64();
+  }
+  EXPECT_TRUE(r.ok() && r.AtEnd());
+  return entries;
+}
+
+std::string EncodeChunkBody(const ChunkEntries& entries) {
+  SnapshotWriter w;
+  w.U64(entries.size());
+  for (const auto& [offset, frame] : entries) {
+    w.U32(offset);
+    w.U64(frame);
+  }
+  return w.TakePayload();
+}
+
+TEST(PagedVmSnapshotTest, MutatedPageTableChunkRestoresAsBadValue) {
+  const SystemSpec spec = ServeSpec(ReplacementStrategyKind::kLru);
+  const ReferenceTrace trace = VmTrace();
+  PagedLinearVm vm(PagedConfigFromSpec(spec));
+  for (std::size_t i = 0; i < trace.refs.size() / 2; ++i) {
+    vm.Step(trace.refs[i]);
+  }
+  SectionedSnapshotWriter w;
+  vm.SaveSections(&w);
+  const Sections sections = SplitFullSeal(w.SealFull());
+  SnapshotWriter flat;
+  vm.SaveState(&flat);
+  // Both paths write the same chunk bodies.
+  ASSERT_EQ(FlatFromSections(sections), flat.Seal());
+
+  std::size_t chunk = 0;
+  while (chunk < sections.size() && sections[chunk].first != "map.pt.0") {
+    ++chunk;
+  }
+  ASSERT_LT(chunk, sections.size());
+  const ChunkEntries entries = DecodeChunkBody(sections[chunk].second);
+  ASSERT_GE(entries.size(), 2u);
+  const std::uint64_t frames = spec.core_words / spec.page_words;
+
+  ChunkEntries moved = entries;
+  moved[0].second = (moved[0].second + 1) % frames;
+  ChunkEntries added = entries;
+  std::uint32_t free_offset = 0;
+  while (std::any_of(entries.begin(), entries.end(),
+                     [&](const auto& e) { return e.first == free_offset; })) {
+    ++free_offset;
+  }
+  added.insert(std::lower_bound(added.begin(), added.end(), std::make_pair(free_offset, 0ul)),
+               {free_offset, entries[0].second});
+  ChunkEntries dropped(entries.begin() + 1, entries.end());
+  ChunkEntries swapped = entries;
+  std::swap(swapped[0].first, swapped[1].first);
+
+  // Restores the cut with `body` in place of the chunk on both paths; each
+  // error is nullopt when that path restored cleanly.
+  struct Outcome {
+    std::optional<SnapshotError> sectioned;
+    std::optional<SnapshotError> flat;
+  };
+  auto restore = [&](const ChunkEntries& body) {
+    Sections mutated = sections;
+    mutated[chunk].second = EncodeChunkBody(body);
+    Outcome out;
+    auto resolved = ResolveSectionChain({SealSections(mutated)});
+    if (!resolved.has_value()) {
+      out.sectioned = resolved.error();
+    } else {
+      SectionSource src = std::move(resolved.value());
+      PagedLinearVm by_sections(PagedConfigFromSpec(spec));
+      by_sections.LoadSections(&src);
+      src.FailIfUnopened();
+      if (!src.ok()) {
+        out.sectioned = src.error();
+      }
+    }
+    const std::string flat_cut = FlatFromSections(mutated);
+    SnapshotReader r(flat_cut);
+    PagedLinearVm by_flat(PagedConfigFromSpec(spec));
+    by_flat.LoadState(&r);
+    if (!r.ok() || !r.AtEnd()) {
+      out.flat = r.ok() ? SnapshotError{SnapshotErrorKind::kTruncated, "trailing bytes"}
+                        : r.error();
+    }
+    return out;
+  };
+
+  // The untouched body, re-sealed the same way, restores cleanly.
+  const Outcome clean = restore(entries);
+  EXPECT_FALSE(clean.sectioned.has_value()) << clean.sectioned->Describe();
+  EXPECT_FALSE(clean.flat.has_value()) << clean.flat->Describe();
+
+  const std::vector<std::pair<const char*, ChunkEntries>> mutations = {
+      {"frame moved", moved}, {"entry added", added},
+      {"entry dropped", dropped}, {"offsets swapped", swapped}};
+  for (const auto& [what, body] : mutations) {
+    const Outcome out = restore(body);
+    ASSERT_TRUE(out.sectioned.has_value()) << what << ": sectioned restore succeeded";
+    EXPECT_EQ(out.sectioned->kind, SnapshotErrorKind::kBadValue) << what << ": "
+                                                                 << out.sectioned->Describe();
+    ASSERT_TRUE(out.flat.has_value()) << what << ": flat restore succeeded";
+    EXPECT_EQ(out.flat->kind, SnapshotErrorKind::kBadValue) << what << ": "
+                                                            << out.flat->Describe();
+  }
+}
+
+TEST(PagedVmSnapshotTest, FullCutSizeDoesNotScaleWithNameSpace) {
+  const SystemSpec spec = ServeSpec(ReplacementStrategyKind::kLru);
+  const ReferenceTrace trace = VmTrace();
+  struct Cut {
+    std::size_t chunks{0};
+    std::size_t sectioned{0};
+    std::size_t flat{0};
+  };
+  auto cut = [&](int address_bits) {
+    PagedVmConfig config = PagedConfigFromSpec(spec);
+    config.address_bits = address_bits;
+    PagedLinearVm vm(config);
+    for (const Reference& ref : trace.refs) {
+      vm.Step(ref);
+    }
+    SectionedSnapshotWriter w;
+    vm.SaveSections(&w);
+    SnapshotWriter f;
+    vm.SaveState(&f);
+    return Cut{static_cast<const PageTableMapper&>(vm.mapper()).table().ChunkCount(),
+               w.SealFull().size(), f.Seal().size()};
+  };
+  const Cut small = cut(20);
+  const Cut large = cut(24);
+  ASSERT_GT(large.chunks, small.chunks);
+  const std::size_t extra = large.chunks - small.chunks;
+
+  // Each extra chunk is empty: an 8-byte zero count.  In a sectioned cut it
+  // also carries its section framing: the name string, the inline tag and
+  // the body length.
+  EXPECT_EQ(large.flat - small.flat, 8 * extra);
+  std::size_t framing = 0;
+  for (std::size_t k = small.chunks; k < large.chunks; ++k) {
+    framing += 8 + ("map.pt." + std::to_string(k)).size() + 1 + 8 + 8;
+  }
+  EXPECT_EQ(large.sectioned - small.sectioned, framing);
 }
 
 // --- Sectioned snapshots: the delta-checkpoint substrate.
