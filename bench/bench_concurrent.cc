@@ -1,28 +1,32 @@
-// Lane-scaling curve of the concurrent multi-lane simulator.
+// Lane-scaling curve of RunLaneGroups (src/sched/multi_lane.h).
 //
 // Runs a fixed 8-group installation (mixed schedulers, two page sizes, one
-// fault-injected group — every group an independent MultiprogrammingSimulator
-// contending for the shared lock-free heap) at 1, 2, and 4 lanes, plus the
-// hardware width in full mode, and records the wall-clock curve in
-// BENCH_concurrent.json.  Two properties are checked, one hard and one
-// hardware-gated (the bench_parallel discipline, one level down):
+// fault-injected group — every group an independent MultiprogrammingSimulator)
+// at 1, 2, and 4 lanes, plus the hardware width in full mode, and records the
+// wall-clock curve in BENCH_concurrent.json.  Two properties are checked, one
+// hard and one hardware-gated (the bench_parallel discipline, one level down):
 //
 //   identity   every lanes>1 run must produce per-group event JSONL, merged
 //              metrics, and merged renamed event streams BYTE-identical to
-//              lanes=1, and the shared heap must balance to zero blocks
-//              outstanding — violation exits non-zero at any lane count;
+//              lanes=1 — violation exits non-zero at any lane count;
 //   speedup    on a machine with >= 4 hardware threads, the full-length run
 //              at 4 lanes must be >= 2x faster than serial.  Skipped in
 //              --quick mode and on narrower machines (a 1-core container
 //              cannot exhibit parallel speedup; identity still holds).
 //
+// Timing: the serial run is only tens of milliseconds, so one timing per
+// width is at the mercy of a single scheduler hiccup.  Full mode therefore
+// times every width kFullRepetitions times, interleaved — repetition r runs
+// the widths in the lane list rotated by r, so no width always runs first or
+// last — and each width's seconds (and the speedup) come from the median of
+// its repetitions ("seconds" in the JSON is that median).  Quick mode times
+// each width once, so the quick and full files share one schema.  Every run,
+// of every repetition, goes through the identity gate.
+//
 // The quick lane list is fixed at {1, 2, 4} — deliberately host-independent,
 // so the stripped BENCH_concurrent.quick.json is a valid value-diff
 // reference on any machine (diff_bench.sh).  The full file adds the
 // hardware width and is structure-diffed only (strip_timing.py --structure).
-// CAS-retry/refill counts are genuine contention measurements — they vary
-// run to run by design and live on the "contention" line, which
-// strip_timing.py drops whole.
 //
 // Usage: bench_concurrent [--quick] [--out PATH]
 
@@ -46,6 +50,7 @@ double Elapsed(std::chrono::steady_clock::time_point start) {
 }
 
 constexpr std::size_t kGroups = 8;
+constexpr std::size_t kFullRepetitions = 5;
 
 std::vector<dsa::LaneGroupSpec> BuildGroups(std::size_t job_length) {
   std::vector<dsa::LaneGroupSpec> groups;
@@ -98,13 +103,18 @@ std::string DeterministicBytes(const dsa::MultiLaneOutcome& outcome) {
   return bytes;
 }
 
+// Repetition counts (1 quick, kFullRepetitions full) are odd.
+double Median(std::vector<double> values) {
+  std::sort(values.begin(), values.end());
+  return values[values.size() / 2];
+}
+
 struct LanePoint {
   unsigned lanes{0};
-  double seconds{0.0};
+  std::vector<double> samples;  // seconds, one per repetition
+  double seconds{0.0};          // median of samples
   double speedup{1.0};
   bool identical{true};
-  std::uint64_t cas_retries{0};
-  std::uint64_t escalations{0};
 };
 
 }  // namespace
@@ -142,52 +152,48 @@ int main(int argc, char** argv) {
     total_refs += spec.jobs.size() * job_length;
   }
 
-  std::printf("== bench_concurrent: multi-lane shared-heap scaling ==\n");
-  std::printf("   groups=%zu job_refs=%zu hardware_concurrency=%u (%s)\n\n", kGroups,
-              job_length, hardware, quick ? "quick" : "full");
-  std::printf("  %6s %9s %12s %8s %10s %12s\n", "lanes", "seconds", "refs/sec",
-              "speedup", "identical", "cas_retries");
+  const std::size_t repetitions = quick ? 1 : kFullRepetitions;
+  std::printf("== bench_concurrent: multi-lane scaling ==\n");
+  std::printf("   groups=%zu job_refs=%zu repetitions=%zu hardware_concurrency=%u (%s)\n\n",
+              kGroups, job_length, repetitions, hardware, quick ? "quick" : "full");
 
+  std::vector<LanePoint> points(lane_counts.size());
+  for (std::size_t i = 0; i < lane_counts.size(); ++i) {
+    points[i].lanes = lane_counts[i];
+  }
   std::string serial_bytes;
-  std::uint64_t blocks_acquired = 0;
   std::uint64_t total_cycles = 0;
   std::uint64_t faults = 0;
-  std::vector<LanePoint> points;
-  bool all_identical = true;
-  bool balanced = true;
-  for (const unsigned lanes : lane_counts) {
-    dsa::MultiLaneConfig config;
-    config.lanes = lanes;
-    const auto start = std::chrono::steady_clock::now();
-    const dsa::MultiLaneOutcome outcome = dsa::MultiLaneSimulator(config, groups).Run();
-    LanePoint point;
-    point.lanes = lanes;
-    point.seconds = Elapsed(start);
-    const std::string bytes = DeterministicBytes(outcome);
-    if (lanes == 1) {
-      serial_bytes = bytes;
-      total_cycles = 0;
-      faults = 0;
-      blocks_acquired = 0;
-      for (const dsa::LaneGroupResult& group : outcome.groups) {
-        total_cycles += group.report.total_cycles;
-        faults += group.report.faults;
-        blocks_acquired += group.blocks_acquired;
+  for (std::size_t rep = 0; rep < repetitions; ++rep) {
+    for (std::size_t k = 0; k < points.size(); ++k) {
+      // Repetition 0 starts with lanes=1 (the sorted list's head), which
+      // fixes the serial bytes every later run is held to.
+      LanePoint& point = points[(k + rep) % points.size()];
+      const auto start = std::chrono::steady_clock::now();
+      const dsa::MultiLaneOutcome outcome = dsa::RunLaneGroups(groups, point.lanes);
+      point.samples.push_back(Elapsed(start));
+      const std::string bytes = DeterministicBytes(outcome);
+      if (rep == 0 && k == 0) {
+        serial_bytes = bytes;
+        for (const dsa::LaneGroupResult& group : outcome.groups) {
+          total_cycles += group.report.total_cycles;
+          faults += group.report.faults;
+        }
       }
+      point.identical = point.identical && bytes == serial_bytes;
     }
-    point.identical = bytes == serial_bytes;
+  }
+
+  std::printf("  %6s %9s %12s %8s %10s\n", "lanes", "seconds", "refs/sec", "speedup",
+              "identical");
+  bool all_identical = true;
+  for (LanePoint& point : points) {
+    point.seconds = Median(point.samples);
+    point.speedup = point.seconds > 0.0 ? points.front().seconds / point.seconds : 1.0;
     all_identical = all_identical && point.identical;
-    balanced = balanced && outcome.heap_outstanding == 0;
-    point.cas_retries = outcome.heap_stats.cas_retries;
-    point.escalations = outcome.heap_stats.escalations;
-    point.speedup = point.seconds > 0.0 && !points.empty()
-                        ? points.front().seconds / point.seconds
-                        : 1.0;
-    std::printf("  %6u %9.3f %12.0f %8.2f %10s %12llu\n", point.lanes, point.seconds,
+    std::printf("  %6u %9.3f %12.0f %8.2f %10s\n", point.lanes, point.seconds,
                 point.seconds > 0 ? static_cast<double>(total_refs) / point.seconds : 0.0,
-                point.speedup, point.identical ? "yes" : "NO",
-                static_cast<unsigned long long>(point.cas_retries));
-    points.push_back(point);
+                point.speedup, point.identical ? "yes" : "NO");
   }
 
   double speedup_at_4 = 0.0;
@@ -213,11 +219,10 @@ int main(int argc, char** argv) {
   // identity gate makes these the same numbers lanes=1 produced).
   std::fprintf(out,
                "  \"work\": {\"total_refs\": %llu, \"total_cycles\": %llu, "
-               "\"faults\": %llu, \"blocks_acquired\": %llu},\n",
+               "\"faults\": %llu},\n",
                static_cast<unsigned long long>(total_refs),
                static_cast<unsigned long long>(total_cycles),
-               static_cast<unsigned long long>(faults),
-               static_cast<unsigned long long>(blocks_acquired));
+               static_cast<unsigned long long>(faults));
   std::fprintf(out, "  \"lanes\": [\n");
   for (std::size_t i = 0; i < points.size(); ++i) {
     const LanePoint& point = points[i];
@@ -230,27 +235,15 @@ int main(int argc, char** argv) {
                  i + 1 < points.size() ? "," : "");
   }
   std::fprintf(out, "  ],\n");
-  // Contention telemetry (per final lane width): genuinely nondeterministic
-  // under threads; strip_timing.py drops this line whole.
   std::fprintf(out,
-               "  \"contention\": {\"cas_retries\": %llu, \"escalations\": %llu},\n",
-               static_cast<unsigned long long>(points.back().cas_retries),
-               static_cast<unsigned long long>(points.back().escalations));
-  std::fprintf(out,
-               "  \"summary\": {\"identical_at_every_width\": %s, "
-               "\"heap_balanced\": %s, \"speedup\": %.3f}\n}\n",
-               all_identical ? "true" : "false", balanced ? "true" : "false",
-               speedup_at_4);
+               "  \"summary\": {\"identical_at_every_width\": %s, \"speedup\": %.3f}\n}\n",
+               all_identical ? "true" : "false", speedup_at_4);
   std::fclose(out);
   std::printf("\n  wrote %s\n", out_path.c_str());
 
   if (!all_identical) {
     std::fprintf(stderr,
                  "multi-lane run diverged from the serial run — determinism broken\n");
-    return 1;
-  }
-  if (!balanced) {
-    std::fprintf(stderr, "shared heap left blocks outstanding after drain\n");
     return 1;
   }
   if (!quick && hardware >= 4 && speedup_at_4 < 2.0) {

@@ -6,7 +6,7 @@
 #
 # ctest runs as seven labelled passes (unit, golden, property, soak, resume,
 # faultpoint — the durable-IO fault sweep — and stress, which reruns the
-# concurrent suites under --gtest_repeat with rotating seeds) so a failure
+# lane suite under --gtest_repeat with rotating seeds) so a failure
 # names the class of breakage immediately;
 # --no-tests=error turns a label with zero registered tests into a failure
 # instead of a silent green pass.  The quick bench outputs land in
@@ -38,10 +38,9 @@ done
 # results (the ISSUE's bit-reproducibility contract); its speedup gate only
 # engages on >= 4 hardware threads and in full (non-quick) runs.
 (cd build && ./bench/bench_parallel --quick)
-# bench_concurrent exits non-zero if any lane width of the multi-lane
-# simulator perturbs the output bytes or the shared lock-free heap leaks
-# blocks; like bench_parallel, its speedup gate engages only on >= 4
-# hardware threads in full runs.
+# bench_concurrent exits non-zero if any lane width of RunLaneGroups
+# perturbs the output bytes; like bench_parallel, its speedup gate engages
+# only on >= 4 hardware threads in full runs.
 (cd build && ./bench/bench_concurrent --quick)
 # bench_alloc exits non-zero if segregated-fit stops beating best-fit on
 # mean allocation cycles at equal-or-better external fragmentation on the

@@ -94,16 +94,6 @@ class Rng {
     return Rng(SplitMix64(&mixed));
   }
 
-  // Hierarchical stream split for two-level parallel structure (lane/group
-  // outer, job/cell inner): Fork2(a, b) is Fork(a).Fork(b) — still a pure
-  // function of (seed, a, b), so any execution order of lanes and any lane
-  // count leaves every (group, job) stream identical.  Distinctness across a
-  // (2^8 x 2^8) grid, and against the flat Fork streams, is pinned by
-  // tests/test_core.cc.
-  Rng Fork2(std::uint64_t outer, std::uint64_t inner) const {
-    return Fork(outer).Fork(inner);
-  }
-
   // Uniform 64-bit value.
   std::uint64_t Next() {
     const std::uint64_t result = Rotl(state_[1] * 5, 7) * 9;

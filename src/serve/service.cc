@@ -39,18 +39,8 @@ ServiceLoop::ServiceLoop(SystemSpec base_spec, ServeConfig config)
           &service_clock_, &io_stats_),
       store_(config_.checkpoint_dir, &io_),
       controller_(config_.load_control, spec_.core_words, spec_.page_words),
-      lanes_(std::max(1u, config_.lanes == 0 ? HardwareJobs() : config_.lanes)),
-      tenant_frames_(static_cast<std::size_t>(
-          spec_.page_words == 0 ? 0 : spec_.core_words / spec_.page_words)),
-      heap_({HeapClassSpec{static_cast<std::size_t>(std::max<WordCount>(1, spec_.page_words)),
-                           lanes_ * LaneArena::kDefaultHighWatermark}}) {
+      lanes_(config_.lanes == 0 ? HardwareJobs() : config_.lanes) {
   spec_.tracer = nullptr;  // tenants own their tracers
-  for (unsigned lane = 0; lane < lanes_; ++lane) {
-    arenas_.emplace_back(&heap_);
-  }
-  if (lanes_ > 1) {
-    pool_ = std::make_unique<ThreadPool>(lanes_);
-  }
 }
 
 std::string ServiceLoop::EventsPath(const Tenant& t) const {
@@ -64,15 +54,6 @@ std::string ServiceLoop::ReportPath(const Tenant& t) const {
 std::unique_ptr<PagedLinearVm> ServiceLoop::BuildVm(Tenant* t) {
   PagedVmConfig config = PagedConfigFromSpec(spec_);
   config.tracer = &t->tracer;
-  if (t->binder == nullptr) {
-    // First incarnation of this tenant: grow the shared heap by its exact
-    // worst-case frame demand.  This is a serial point (admission/restore),
-    // which GrowSerial's quiescence contract requires.
-    t->binder = std::make_unique<LaneFrameBinder>(
-        &heap_, static_cast<std::size_t>(spec_.page_words));
-    heap_.GrowSerial(0, tenant_frames_);
-  }
-  config.frame_binder = t->binder.get();
   return std::make_unique<PagedLinearVm>(config);
 }
 
@@ -329,14 +310,6 @@ void ServiceLoop::ReplayFeed(Tenant* t) {
   detector.RecordSpaceTime(service_clock_, now_product.active - t->last_space_time.active,
                            now_product.waiting - t->last_space_time.waiting);
   t->last_space_time = now_product;
-}
-
-void ServiceLoop::RunSlice(Tenant* t) {
-  // The serial composition is step-for-step the pre-lanes loop: the feed is
-  // generated and immediately replayed, so the detector sees each reference
-  // at the same service-clock instant it always did.
-  StepSlice(t);
-  ReplayFeed(t);
 }
 
 Status<SnapshotError> ServiceLoop::FinishTenant(Tenant* t) {
@@ -638,30 +611,16 @@ Expected<ServeOutcome, SnapshotError> ServiceLoop::Run() {
     }
     DecideConcurrency(steppable);
     const std::size_t active = std::min(concurrency_, steppable.size());
-    const bool concurrent_round = lanes_ > 1 && active > 1;
-    if (concurrent_round) {
-      // Deal the active tenants to lanes round-robin; each lane steps its
-      // share through its own arena, then the barrier.  Block identity never
-      // feeds back into the simulation, so any interleaving of heap CASes
-      // leaves every tenant's trajectory bit-identical to the serial round.
-      const std::size_t width = std::min<std::size_t>(lanes_, active);
-      pool_->ParallelFor(width, [&](std::size_t lane) {
-        for (std::size_t i = lane; i < active; i += width) {
-          Tenant* t = steppable[i];
-          t->binder->SetArena(&arenas_[lane]);
-          StepSlice(t);
-          t->binder->SetArena(nullptr);
-        }
-      });
-    }
+    // Phase 1: step every active tenant, one index each.  A slice reads
+    // and writes only state its tenant owns, so the lane count and the
+    // completion order are invisible to phase 2.
+    lanes_.ForEach(active, [&](std::size_t i) { StepSlice(steppable[i]); });
+    // Phase 2, after the barrier: replay the feeds serially, in admission
+    // order, into the service clock and the detector.
     bool force_flush = false;
     for (std::size_t i = 0; i < active; ++i) {
       Tenant* t = steppable[i];
-      if (concurrent_round) {
-        ReplayFeed(t);
-      } else {
-        RunSlice(t);
-      }
+      ReplayFeed(t);
       if (t->next_ref == t->trace.size()) {
         // Simulation complete.  Fold the metrics into the aggregate NOW
         // (exactly once — this branch cannot re-fire for a tenant), so the

@@ -308,37 +308,6 @@ TEST(RngTest, ForkedStreamNeverOverlapsParentOverLongHorizon) {
   EXPECT_EQ(collisions, 0u);
 }
 
-TEST(RngTest, Fork2StreamsDistinctAcrossGridAndAgainstFlatForks) {
-  // The header's Fork2 promise: over a (2^8 x 2^8) grid of (outer, inner)
-  // pairs, every hierarchical stream is distinct — from each other and from
-  // the flat Fork streams of the same parent.  First draws landing in a
-  // shared set is a birthday test (~2^17 streams against 2^64 space: any
-  // collision means structural correlation, not chance).
-  Rng parent(1967);
-  std::unordered_set<std::uint64_t> first_draws;
-  for (std::uint64_t flat = 0; flat < 256; ++flat) {
-    EXPECT_TRUE(first_draws.insert(parent.Fork(flat).Next()).second);
-  }
-  for (std::uint64_t outer = 0; outer < 256; ++outer) {
-    for (std::uint64_t inner = 0; inner < 256; ++inner) {
-      EXPECT_TRUE(first_draws.insert(parent.Fork2(outer, inner).Next()).second)
-          << "Fork2(" << outer << ", " << inner << ") collided";
-    }
-  }
-}
-
-TEST(RngTest, Fork2IsPureAndEqualsNestedForks) {
-  Rng parent(42);
-  Rng direct = parent.Fork2(9, 4);
-  for (int i = 0; i < 100; ++i) {
-    parent.Next();
-  }
-  Rng nested = parent.Fork(9).Fork(4);
-  for (int i = 0; i < 64; ++i) {
-    EXPECT_EQ(direct.Next(), nested.Next());
-  }
-}
-
 // --- Characteristics ----------------------------------------------------------
 
 TEST(CharacteristicsTest, DefaultIsLinearPagedNoPrediction) {
