@@ -28,12 +28,21 @@
 // reference on any machine (diff_bench.sh).  The full file adds the
 // hardware width and is structure-diffed only (strip_timing.py --structure).
 //
+// Host steal: on a shared VM, CPU time stolen by other guests slows the
+// parallel widths more than the serial one, so the speedup gate can fail at
+// any code.  The bench reads the aggregate "cpu" line of /proc/stat
+// (read-only) before and after the timed widths and reports the steal share
+// of that interval next to the speedup, in the JSON's host stamp, and in
+// the gate's failure message.  It does not feed the gate.
+//
 // Usage: bench_concurrent [--quick] [--out PATH]
 
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
+#include <fstream>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -103,6 +112,55 @@ std::string DeterministicBytes(const dsa::MultiLaneOutcome& outcome) {
   return bytes;
 }
 
+// Cumulative jiffies from the aggregate "cpu" line of /proc/stat: steal and
+// the sum of user, nice, system, idle, iowait, irq, softirq and steal.
+struct CpuTimes {
+  unsigned long long steal{0};
+  unsigned long long total{0};
+};
+
+std::optional<CpuTimes> ReadCpuTimes() {
+  std::ifstream stat("/proc/stat");
+  std::string label;
+  unsigned long long fields[8] = {};
+  if (!(stat >> label) || label != "cpu") {
+    return std::nullopt;
+  }
+  CpuTimes times;
+  for (unsigned long long& field : fields) {
+    if (!(stat >> field)) {
+      return std::nullopt;
+    }
+    times.total += field;
+  }
+  times.steal = fields[7];
+  return times;
+}
+
+// Share of the interval's CPU time stolen by the hypervisor (0 when the
+// interval was shorter than a clock tick); nullopt when /proc/stat is
+// unreadable.
+std::optional<double> StealShare(const std::optional<CpuTimes>& before,
+                                 const std::optional<CpuTimes>& after) {
+  if (!before.has_value() || !after.has_value()) {
+    return std::nullopt;
+  }
+  if (after->total <= before->total) {
+    return 0.0;
+  }
+  return static_cast<double>(after->steal - before->steal) /
+         static_cast<double>(after->total - before->total);
+}
+
+std::string FormatShare(const std::optional<double>& share) {
+  if (!share.has_value()) {
+    return "unknown";
+  }
+  char text[32];
+  std::snprintf(text, sizeof(text), "%.1f%%", *share * 100.0);
+  return text;
+}
+
 // Repetition counts (1 quick, kFullRepetitions full) are odd.
 double Median(std::vector<double> values) {
   std::sort(values.begin(), values.end());
@@ -164,6 +222,7 @@ int main(int argc, char** argv) {
   std::string serial_bytes;
   std::uint64_t total_cycles = 0;
   std::uint64_t faults = 0;
+  const std::optional<CpuTimes> cpu_before = ReadCpuTimes();
   for (std::size_t rep = 0; rep < repetitions; ++rep) {
     for (std::size_t k = 0; k < points.size(); ++k) {
       // Repetition 0 starts with lanes=1 (the sorted list's head), which
@@ -183,6 +242,7 @@ int main(int argc, char** argv) {
       point.identical = point.identical && bytes == serial_bytes;
     }
   }
+  const std::optional<double> steal_share = StealShare(cpu_before, ReadCpuTimes());
 
   std::printf("  %6s %9s %12s %8s %10s\n", "lanes", "seconds", "refs/sec", "speedup",
               "identical");
@@ -202,6 +262,8 @@ int main(int argc, char** argv) {
       speedup_at_4 = point.speedup;
     }
   }
+  std::printf("\n  speedup at 4 lanes %.2fx; host steal share over the timed runs %s\n",
+              speedup_at_4, FormatShare(steal_share).c_str());
 
   std::FILE* out = std::fopen(out_path.c_str(), "w");
   if (out == nullptr) {
@@ -210,7 +272,7 @@ int main(int argc, char** argv) {
   }
   std::fprintf(out, "{\n  \"bench\": \"bench_concurrent\",\n  \"quick\": %s,\n",
                quick ? "true" : "false");
-  bench_meta::WriteHostStamp(out, quick);
+  bench_meta::WriteHostStamp(out, quick, steal_share);
   // No hardware_concurrency here: the host stamp above records it (and is
   // stripped), so the quick file stays a cross-machine value-diff reference.
   std::fprintf(out, "  \"config\": {\"groups\": %zu, \"job_refs\": %zu},\n",
@@ -248,8 +310,9 @@ int main(int argc, char** argv) {
   }
   if (!quick && hardware >= 4 && speedup_at_4 < 2.0) {
     std::fprintf(stderr,
-                 "speedup at 4 lanes is %.2fx on a %u-wide machine (need >= 2x)\n",
-                 speedup_at_4, hardware);
+                 "GATE FAILED: speedup at 4 lanes is %.2fx on a %u-wide machine (need >= 2x); "
+                 "host steal share over the timed runs %s\n",
+                 speedup_at_4, hardware, FormatShare(steal_share).c_str());
     return 1;
   }
   if (hardware < 4) {

@@ -37,8 +37,10 @@ namespace dsa {
 // The snapshot container format version.  Bump on any layout change; a
 // reader faced with a different version reports kStaleVersion instead of
 // guessing at field offsets.  Version 2 encodes page-table chunks sparsely
-// and backing-store slots as (slot id, words) pairs.
-inline constexpr std::uint32_t kSnapshotFormatVersion = 2;
+// and backing-store slots as (slot id, words) pairs; version 3 drops the
+// pager's page -> frame residency map (the frame table's occupants are the
+// one record of residency, and restore rebuilds its index from them).
+inline constexpr std::uint32_t kSnapshotFormatVersion = 3;
 
 enum class SnapshotErrorKind : std::uint8_t {
   kTruncated,     // fewer bytes than the header or payload promised

@@ -162,6 +162,11 @@ class AtlasPageRegisterMapper : public AddressMapper {
 
   PageId PageOf(Name name) const { return PageId{name.value >> offset_bits_}; }
 
+  // The page `frame`'s register holds, or nullopt when it is clear.
+  const std::optional<PageId>& RegisterOf(FrameId frame) const {
+    return registers_.at(frame.value);
+  }
+
   // Checkpoint serialization: the registers plus accounting; the reverse
   // index is rebuilt, not stored.
   void SaveState(SnapshotWriter* w) const;

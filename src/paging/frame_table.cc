@@ -1,13 +1,48 @@
 #include "src/paging/frame_table.h"
 
+#include <bit>
+
 #include "src/core/assert.h"
 #include "src/core/snapshot.h"
 #include "src/obs/tracer.h"
 
 namespace dsa {
 
+FrameTable::ResidencyIndex::ResidencyIndex(std::size_t frames)
+    : slots_(std::bit_ceil(2 * frames), kVacantSlot),
+      shift_(64 - std::countr_zero(slots_.size())) {
+  DSA_ASSERT(frames < kVacantSlot, "frame count exceeds the residency index's frame ids");
+}
+
+bool FrameTable::ResidencyIndex::Insert(const std::vector<FrameInfo>& frames, std::size_t frame) {
+  const std::size_t slot = Probe(frames, frames[frame].page.value);
+  if (slots_[slot] != kVacantSlot) {
+    return false;
+  }
+  slots_[slot] = static_cast<std::uint32_t>(frame);
+  return true;
+}
+
+void FrameTable::ResidencyIndex::Erase(const std::vector<FrameInfo>& frames, std::uint64_t page) {
+  const std::size_t mask = slots_.size() - 1;
+  std::size_t hole = Probe(frames, page);
+  DSA_ASSERT(slots_[hole] != kVacantSlot, "erasing a page the residency index does not hold");
+  // Backward shift: walk the rest of the chain and pull back every entry
+  // whose home slot does not lie cyclically in (hole, slot], so no probe
+  // chain ever crosses a vacant slot.
+  for (std::size_t slot = (hole + 1) & mask; slots_[slot] != kVacantSlot;
+       slot = (slot + 1) & mask) {
+    const std::size_t home = Home(frames[slots_[slot]].page.value);
+    if (((slot - home) & mask) >= ((slot - hole) & mask)) {
+      slots_[hole] = slots_[slot];
+      hole = slot;
+    }
+  }
+  slots_[hole] = kVacantSlot;
+}
+
 FrameTable::FrameTable(std::size_t frames)
-    : frames_(frames), fifo_(frames + 1), lru_(frames + 1) {
+    : frames_(frames), fifo_(frames + 1), lru_(frames + 1), index_(frames) {
   DSA_ASSERT(frames > 0, "frame table needs at least one frame");
   free_.reserve(frames);
   // Stack ordered so the lowest index pops first.
@@ -104,6 +139,8 @@ void FrameTable::Load(FrameId frame, PageId page, Cycles now) {
   info.page = page;
   info.load_time = now;
   info.last_use = now;
+  const bool indexed = index_.Insert(frames_, frame.value);
+  DSA_ASSERT(indexed, "page already resident in another frame");
   ++occupied_;
   ListPushBack(fifo_, frame.value);
   ListPushBack(lru_, frame.value);
@@ -115,6 +152,7 @@ void FrameTable::Evict(FrameId frame) {
   DSA_ASSERT(info.occupied, "evicting an empty frame");
   DSA_ASSERT(!info.pinned, "evicting a pinned frame");
   DSA_TRACE_EMIT(tracer_, EventKind::kFrameEvict, info.page.value, frame.value);
+  index_.Erase(frames_, info.page.value);
   info = FrameInfo{};
   free_.push_back(frame);
   --occupied_;
@@ -202,6 +240,7 @@ void FrameTable::LoadState(SnapshotReader* r) {
     return;
   }
   std::vector<FrameInfo> frames(frames_.size());
+  ResidencyIndex index(frames_.size());
   std::size_t occupied = 0;
   std::size_t pinned = 0;
   std::size_t retired = 0;
@@ -220,6 +259,13 @@ void FrameTable::LoadState(SnapshotReader* r) {
     retired += info.retired ? 1 : 0;
     if (info.occupied && info.retired) {
       r->Fail(SnapshotErrorKind::kBadValue, "frame both occupied and retired");
+    }
+  }
+  // The residency index is rebuilt from the occupants; building it is also
+  // the duplicate check, before anything is committed.
+  for (std::size_t f = 0; f < frames.size() && r->ok(); ++f) {
+    if (frames[f].occupied && !index.Insert(frames, f)) {
+      r->Fail(SnapshotErrorKind::kBadValue, "page resident in two frames");
     }
   }
   std::vector<FrameId> free;
@@ -271,6 +317,7 @@ void FrameTable::LoadState(SnapshotReader* r) {
   retired_ = retired;
   fifo_ = std::move(fifo);
   lru_ = std::move(lru);
+  index_ = std::move(index);
 }
 
 std::vector<FrameId> FrameTable::EvictionCandidates() const {

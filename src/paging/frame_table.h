@@ -15,10 +15,19 @@
 // Evict; ties that a full scan would break by frame index cannot arise as
 // long as the simulated clock is monotone per reference (which the pager
 // guarantees), so list order and scan order agree.
+//
+// The table is also the one owner of page -> frame residency.  A
+// fixed-capacity open-addressed index over the occupied frames answers
+// FrameOf without a node-based map: the index is sized once at construction,
+// never rehashes and never allocates, and Load / Evict / LoadState keep it
+// exact.  It is hashed rather than page-indexed because page ids are opaque
+// 64-bit values (the segmented VM packs segment<<32 | page into one), so its
+// size follows the frame count, not the name space.
 
 #ifndef SRC_PAGING_FRAME_TABLE_H_
 #define SRC_PAGING_FRAME_TABLE_H_
 
+#include <cstdint>
 #include <optional>
 #include <vector>
 
@@ -67,10 +76,26 @@ class FrameTable {
 
   const FrameInfo& info(FrameId frame) const;
 
+  // The frame holding `page`, or nullopt when the page is not resident.
+  std::optional<FrameId> FrameOf(PageId page) const {
+    const std::uint32_t frame = index_.at(index_.Probe(frames_, page.value));
+    if (frame == kVacantSlot) {
+      return std::nullopt;
+    }
+    return FrameId{frame};
+  }
+
+  // The residency index's slot count: the power of two at or above twice
+  // the frame count, so it is never more than half full.  A page's home
+  // slot is the top log2(capacity) bits of page * kIndexMultiplier.
+  std::size_t residency_index_capacity() const { return index_.capacity(); }
+  static constexpr std::uint64_t kIndexMultiplier = 0x9e3779b97f4a7c15ULL;
+
   // Pops a free frame, lowest index first.
   std::optional<FrameId> TakeFreeFrame();
 
-  // Installs `page` in `frame` (which must be free).
+  // Installs `page` in `frame` (which must be free; `page` must not be
+  // resident elsewhere).
   void Load(FrameId frame, PageId page, Cycles now);
 
   // Vacates `frame` (which must be occupied and unpinned).
@@ -131,6 +156,47 @@ class FrameTable {
     std::size_t next{0};
   };
 
+  static constexpr std::uint32_t kVacantSlot = ~std::uint32_t{0};
+
+  // Page -> frame index over the occupied frames: linear probing from a
+  // multiplicative hash, backward-shift deletion (no tombstones).  A slot
+  // holds a frame index, and its key is the page that frame holds, so the
+  // lookup's second read is the FrameInfo a hit touches next anyway.  The
+  // frames vector is passed in so LoadState can build a scratch index over
+  // scratch frames before committing either.
+  class ResidencyIndex {
+   public:
+    explicit ResidencyIndex(std::size_t frames);
+
+    std::size_t capacity() const { return slots_.size(); }
+    std::uint32_t at(std::size_t slot) const { return slots_[slot]; }
+
+    // The slot `page`'s probe chain starts from.
+    std::size_t Home(std::uint64_t page) const { return (page * kIndexMultiplier) >> shift_; }
+
+    // The slot holding `page`'s frame, or the vacant slot ending its chain.
+    std::size_t Probe(const std::vector<FrameInfo>& frames, std::uint64_t page) const {
+      const std::size_t mask = slots_.size() - 1;
+      for (std::size_t slot = Home(page);; slot = (slot + 1) & mask) {
+        const std::uint32_t frame = slots_[slot];
+        if (frame == kVacantSlot || frames[frame].page.value == page) {
+          return slot;
+        }
+      }
+    }
+
+    // Indexes `frame` under the page it holds; false (and no change) when
+    // that page is already indexed.
+    bool Insert(const std::vector<FrameInfo>& frames, std::size_t frame);
+    // Removes the indexed `page`, which must be present.  Reads the pages of
+    // the frames it shifts back, so `frames` must still name them.
+    void Erase(const std::vector<FrameInfo>& frames, std::uint64_t page);
+
+   private:
+    std::vector<std::uint32_t> slots_;
+    int shift_;  // 64 - log2(capacity)
+  };
+
   FrameInfo& MutableInfo(FrameId frame);
 
   void ListRemove(std::vector<Link>& list, std::size_t node);
@@ -145,6 +211,7 @@ class FrameTable {
   std::size_t retired_{0};
   std::vector<Link> fifo_;  // load order; size frame_count()+1, last is sentinel
   std::vector<Link> lru_;   // recency order; same layout
+  ResidencyIndex index_;
 };
 
 }  // namespace dsa

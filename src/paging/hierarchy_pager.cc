@@ -170,7 +170,6 @@ void HierarchyPager::EvictOne(Cycles now) {
   PlaceEvicted(page, now);
   replacement_->OnEvict(victim, page);
   frames_.Evict(victim);
-  resident_.erase(page.value);
 }
 
 Expected<Cycles, PageAccessError> HierarchyPager::Access(PageId page, AccessKind kind,
@@ -179,9 +178,9 @@ Expected<Cycles, PageAccessError> HierarchyPager::Access(PageId page, AccessKind
   ++stats_.accesses;
   const bool write = kind == AccessKind::kWrite;
 
-  if (auto it = resident_.find(page.value); it != resident_.end()) {
-    frames_.Touch(it->second, now, write, config_.touch_idle_threshold);
-    replacement_->OnAccess(it->second, page, now, write);
+  if (const std::optional<FrameId> resident = frames_.FrameOf(page)) {
+    frames_.Touch(*resident, now, write, config_.touch_idle_threshold);
+    replacement_->OnAccess(*resident, page, now, write);
     return Cycles{0};
   }
 
@@ -324,7 +323,6 @@ Expected<Cycles, PageAccessError> HierarchyPager::Access(PageId page, AccessKind
   stats_.wait_cycles += wait;
 
   frames_.Load(*frame, page, now);
-  resident_.emplace(page.value, *frame);
   replacement_->OnLoad(*frame, page, now);
   const Cycles arrival = now + wait;
   frames_.Touch(*frame, arrival, write, config_.touch_idle_threshold);

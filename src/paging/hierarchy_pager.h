@@ -98,7 +98,7 @@ class HierarchyPager {
   // when every recovery path (retries, relocation, spare frames) is spent.
   Expected<Cycles, PageAccessError> Access(PageId page, AccessKind kind, Cycles now);
 
-  bool IsResident(PageId page) const { return resident_.contains(page.value); }
+  bool IsResident(PageId page) const { return frames_.FrameOf(page).has_value(); }
 
   const HierarchyPagerStats& stats() const { return stats_; }
   const FrameTable& frames() const { return frames_; }
@@ -134,8 +134,7 @@ class HierarchyPager {
   TransferChannel disk_channel_;
   std::unique_ptr<ReplacementPolicy> replacement_;
   FaultInjector* injector_;
-  FrameTable frames_;
-  std::unordered_map<std::uint64_t, FrameId> resident_;
+  FrameTable frames_;  // also the page -> frame residency record
   std::unordered_map<std::uint64_t, Home> home_;       // where each absent page lives
   std::unordered_map<std::uint64_t, bool> promoted_;   // disk-faulted pages to stage on drum
   std::list<std::uint64_t> drum_lru_;                  // drum residents, most recent first

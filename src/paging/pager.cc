@@ -47,14 +47,6 @@ Pager::Pager(PagerConfig config, BackingStore* backing, TransferChannel* channel
   stats_.reliability.residual_frames = frames_.usable_frame_count();
 }
 
-std::optional<FrameId> Pager::FrameOf(PageId page) const {
-  auto it = resident_.find(page.value);
-  if (it == resident_.end()) {
-    return std::nullopt;
-  }
-  return it->second;
-}
-
 void Pager::AdviseWillNeed(PageId page) {
   if (advice_ != nullptr && !IsResident(page)) {
     advice_->AdviseWillNeed(page);
@@ -161,7 +153,6 @@ void Pager::EvictFrame(FrameId frame, Cycles now) {
   }
   replacement_->OnEvict(frame, page);
   frames_.Evict(frame);
-  resident_.erase(page.value);
   ++stats_.evictions;
   if (on_evict_) {
     on_evict_(page, frame);
@@ -278,7 +269,6 @@ Expected<Cycles, PageAccessError> Pager::FetchInto(PageId page, FrameId frame, C
                    static_cast<std::uint64_t>(RecoveryAction::kRetry));
   }
   frames_.Load(frame, page, now);
-  resident_.emplace(page.value, frame);
   replacement_->OnLoad(frame, page, now);
   if (advice_ != nullptr && advice_->IsKeepResident(page)) {
     frames_.Pin(frame);
@@ -427,28 +417,9 @@ void Pager::Release(PageId page, Cycles now) {
   }
 }
 
-namespace {
-
-void SaveU64Map(SnapshotWriter* w, const std::unordered_map<std::uint64_t, FrameId>& map) {
-  std::vector<std::uint64_t> keys;
-  keys.reserve(map.size());
-  for (const auto& [key, value] : map) {
-    keys.push_back(key);
-  }
-  std::sort(keys.begin(), keys.end());
-  w->U64(keys.size());
-  for (std::uint64_t key : keys) {
-    w->U64(key);
-    w->U64(map.at(key).value);
-  }
-}
-
-}  // namespace
-
 void Pager::SaveState(SnapshotWriter* w) const {
   frames_.SaveState(w);
   replacement_->SaveState(w);
-  SaveU64Map(w, resident_);
   std::vector<std::uint64_t> relocated;
   relocated.reserve(slot_of_.size());
   for (const auto& [page, slot] : slot_of_) {
@@ -487,29 +458,6 @@ void Pager::SaveState(SnapshotWriter* w) const {
 void Pager::LoadState(SnapshotReader* r) {
   frames_.LoadState(r);
   replacement_->LoadState(r);
-  const std::uint64_t resident_count = r->Count(frames_.frame_count());
-  std::unordered_map<std::uint64_t, FrameId> resident;
-  resident.reserve(resident_count);
-  for (std::uint64_t i = 0; i < resident_count && r->ok(); ++i) {
-    const std::uint64_t page = r->U64();
-    const FrameId frame{r->U64()};
-    if (!r->ok()) {
-      return;
-    }
-    if (frame.value >= frames_.frame_count() || !frames_.info(frame).occupied ||
-        frames_.info(frame).page.value != page) {
-      r->Fail(SnapshotErrorKind::kBadValue, "residency map disagrees with the frame table");
-      return;
-    }
-    if (!resident.emplace(page, frame).second) {
-      r->Fail(SnapshotErrorKind::kBadValue, "page resident in two frames");
-      return;
-    }
-  }
-  if (r->ok() && resident_count != frames_.occupied_count()) {
-    r->Fail(SnapshotErrorKind::kBadValue, "residency map does not cover every occupied frame");
-    return;
-  }
   const std::uint64_t relocated_count = r->Count(std::uint64_t{1} << 32);
   std::unordered_map<std::uint64_t, BackingStore::SlotId> slot_of;
   slot_of.reserve(relocated_count);
@@ -547,7 +495,6 @@ void Pager::LoadState(SnapshotReader* r) {
   if (!r->ok()) {
     return;
   }
-  resident_ = std::move(resident);
   slot_of_ = std::move(slot_of);
   stats_ = stats;
 }

@@ -138,8 +138,9 @@ class Pager {
   // when the frame is pinned, already retired, or the last usable frame.
   bool RetireFrame(FrameId frame, Cycles now);
 
-  bool IsResident(PageId page) const { return resident_.contains(page.value); }
-  std::optional<FrameId> FrameOf(PageId page) const;
+  // Residency is the frame table's: these forward to its index.
+  bool IsResident(PageId page) const { return frames_.FrameOf(page).has_value(); }
+  std::optional<FrameId> FrameOf(PageId page) const { return frames_.FrameOf(page); }
 
   // Advisory interface (routes through the registry when present).
   void AdviseWillNeed(PageId page);
@@ -157,13 +158,13 @@ class Pager {
   // Resident words right now (the space term of the space-time product).
   WordCount ResidentWords() const { return frames_.occupied_count() * config_.page_words; }
 
-  // Checkpoint serialization: the frame table, the replacement policy's
-  // decision state, the residency and relocation maps (sorted by page id),
-  // and the full stats block.  The attached stores, channel, advice registry
-  // and injector are serialized by their owners; the fetch policy is
-  // stateless.  LoadState cross-checks the residency map against the frame
-  // table (same page, occupied frame, full coverage) and reports mismatches
-  // through the reader.
+  // Checkpoint serialization: the frame table (whose occupants are the
+  // residency record), the replacement policy's decision state, the
+  // relocation map (sorted by page id), and the full stats block.  The
+  // attached stores, channel, advice registry and injector are serialized
+  // by their owners; the fetch policy is stateless.  Structural violations,
+  // one page in two occupied frames among them, are reported through the
+  // reader by the frame table's LoadState.
   void SaveState(SnapshotWriter* w) const;
   void LoadState(SnapshotReader* r);
 
@@ -199,7 +200,6 @@ class Pager {
   AdviceRegistry* advice_;
   FaultInjector* injector_;
   FrameTable frames_;
-  std::unordered_map<std::uint64_t, FrameId> resident_;
   // Pages relocated off their identity slot by permanent slot failures.
   std::unordered_map<std::uint64_t, BackingStore::SlotId> slot_of_;
   LoadCallback on_load_;

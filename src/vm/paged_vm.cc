@@ -10,7 +10,7 @@ namespace dsa {
 
 namespace {
 
-constexpr const char* kResidencyMismatch = "page table disagrees with the pager's residency map";
+constexpr const char* kResidencyMismatch = "address map disagrees with the frame table's occupants";
 
 std::unique_ptr<FetchPolicy> MakeFetchPolicy(const PagedVmConfig& config,
                                              AdviceRegistry* advice,
@@ -209,14 +209,22 @@ Characteristics PagedLinearVm::characteristics() const {
   return c;
 }
 
-bool PagedLinearVm::PageTableMatchesResidency() const {
-  if (config_.mapper != PagedMapperKind::kPageTable) {
+bool PagedLinearVm::MapperMatchesResidency() const {
+  const FrameTable& frames = pager_->frames();
+  if (config_.mapper == PagedMapperKind::kAtlasRegisters) {
+    const auto& atlas = static_cast<const AtlasPageRegisterMapper&>(*mapper_);
+    for (std::size_t f = 0; f < frames.frame_count(); ++f) {
+      const FrameInfo& info = frames.info(FrameId{f});
+      const std::optional<PageId>& reg = atlas.RegisterOf(FrameId{f});
+      if (info.occupied ? reg != info.page : reg.has_value()) {
+        return false;
+      }
+    }
     return true;
   }
   const PageTable& table = static_cast<const PageTableMapper&>(*mapper_).table();
-  // The pager's own load has matched its residency map to the frame
-  // table's occupants one for one, so walking the frames walks that map.
-  const FrameTable& frames = pager_->frames();
+  // The frame table's load has checked that no page occupies two frames, so
+  // equal counts plus every occupant mapped to its own frame is equality.
   if (table.present_count() != frames.occupied_count()) {
     return false;
   }
@@ -286,7 +294,7 @@ void PagedLinearVm::LoadState(SnapshotReader* r) {
       break;
   }
   pager_->LoadState(r);
-  if (r->ok() && !PageTableMatchesResidency()) {
+  if (r->ok() && !MapperMatchesResidency()) {
     r->Fail(SnapshotErrorKind::kBadValue, kResidencyMismatch);
   }
   SpaceTime space_time;
@@ -399,7 +407,7 @@ void PagedLinearVm::LoadSections(SectionSource* src) {
     pager_->LoadState(&r);
     src->Close(&r, "vm.pager");
   }
-  if (src->ok() && !PageTableMatchesResidency()) {
+  if (src->ok() && !MapperMatchesResidency()) {
     src->Fail(SnapshotErrorKind::kBadValue, kResidencyMismatch);
   }
   SpaceTime space_time;

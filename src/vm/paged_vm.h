@@ -97,9 +97,10 @@ class PagedLinearVm : public StorageAllocationSystem {
   // decision state, residency), the fault stream position, the advice
   // registry, the space-time integrals, and the step counters.  LoadState
   // expects a freshly Reset() system built from the identical config; any
-  // inconsistency is reported through the reader; that includes a page
-  // table whose present entries differ from the pager's residency map
-  // (kBadValue).  After a successful load, Step produces the bit-identical
+  // inconsistency is reported through the reader; that includes an address
+  // map that differs from the frame table's occupants (kBadValue): a page
+  // table whose present entries are not exactly the resident pages, or an
+  // atlas register that does not hold its frame's page.  After a successful load, Step produces the bit-identical
   // continuation of the checkpointed run.
   void SaveState(SnapshotWriter* w) const;
   void LoadState(SnapshotReader* r);
@@ -118,9 +119,11 @@ class PagedLinearVm : public StorageAllocationSystem {
  private:
   PageId PageOf(Name name) const { return PageId{name.value / config_.page_words}; }
 
-  // True when the page table maps exactly the pages the pager holds, each
-  // to the frame holding it (always true under the atlas mapper).
-  bool PageTableMatchesResidency() const;
+  // True when the address map agrees with the frame table's occupants: the
+  // page table maps exactly the resident pages, each to the frame holding
+  // it; or each atlas register holds exactly its occupied frame's page and
+  // every vacant frame's register is clear.
+  bool MapperMatchesResidency() const;
 
   PagedVmConfig config_;
   LinearNameSpace names_;

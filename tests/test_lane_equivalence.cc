@@ -17,8 +17,9 @@
 //   * a full in-process service run (spool -> reports + JSONL + SERVICE.txt)
 //     produces a byte-identical output tree at lanes 1, 2, and 4.
 //
-// The *Stress* case reruns the widest configuration under --gtest_repeat
-// with rotating seeds; CI drives it under the thread sanitizer.
+// The *Stress* case reruns a larger generated fixture (16 groups of long
+// traces) at 4 lanes under --gtest_repeat with rotating seeds; CI drives it
+// under the thread sanitizer.
 
 #include <gtest/gtest.h>
 #include <unistd.h>
@@ -48,31 +49,30 @@ namespace fs = std::filesystem;
 
 // --- multi-lane simulator groups --------------------------------------------
 
-std::vector<LaneGroupSpec> BuildGroups(std::uint64_t seed) {
-  // Five groups: an uneven split at every width, mixed schedulers, one
-  // group with fault injection, two distinct page sizes.
-  const SchedulerKind schedulers[] = {
-      SchedulerKind::kRoundRobin, SchedulerKind::kResidencyAware,
-      SchedulerKind::kRoundRobin, SchedulerKind::kResidencyAware,
-      SchedulerKind::kRoundRobin};
+std::vector<LaneGroupSpec> BuildGroups(std::uint64_t seed, std::size_t group_count = 5,
+                                       std::size_t trace_length = 900) {
+  // Five groups by default: an uneven split at every width, alternating
+  // schedulers, fault injection in every fifth group (from group 2), two
+  // distinct page sizes.
   std::vector<LaneGroupSpec> groups;
-  for (std::size_t g = 0; g < 5; ++g) {
+  for (std::size_t g = 0; g < group_count; ++g) {
     LaneGroupSpec spec;
     spec.label = "group-" + std::to_string(g);
     spec.config.page_words = g % 2 == 0 ? 256 : 128;
-    spec.config.core_words = spec.config.page_words * (6 + g);
+    spec.config.core_words = spec.config.page_words * (6 + g % 8);
     spec.config.backing_level = MakeDrumLevel("drum", 1u << 16, /*word_time=*/2,
                                               /*rotational_delay=*/2000);
     spec.config.quantum = 800;
     spec.config.context_switch_cycles = 10;
-    spec.config.scheduler = schedulers[g];
+    spec.config.scheduler =
+        g % 2 == 0 ? SchedulerKind::kRoundRobin : SchedulerKind::kResidencyAware;
     spec.config.load_control.policy = LoadControlPolicy::kAdaptiveFaultRate;
     spec.config.load_control.window = 20000;
     spec.config.load_control.min_window_references = 32;
     spec.config.load_control.high_fault_rate = 0.05;
     spec.config.load_control.low_fault_rate = 0.02;
     spec.config.load_control.hysteresis = 5000;
-    if (g == 2) {
+    if (g % 5 == 2) {
       spec.config.fault_injection.rates = {.transient_transfer = 0.05,
                                            .permanent_slot = 0.01};
       spec.config.fault_injection.seed = seed ^ 0xfau;
@@ -84,7 +84,7 @@ std::vector<LaneGroupSpec> BuildGroups(std::uint64_t seed) {
       params.body_words = 512;
       params.advance_words = 256;
       params.iterations = 3;
-      params.length = 900;
+      params.length = trace_length;
       params.seed = seed * 1000003 + g * 131 + j;
       spec.jobs.emplace_back("g" + std::to_string(g) + "-j" + std::to_string(j),
                              MakeLoopTrace(params));
@@ -312,7 +312,10 @@ TEST(LaneEquivalenceStressTest, WideLanesStayByteIdenticalUnderRotatingSeeds) {
   // different load shapes.
   static std::uint64_t repeat = 0;
   const std::uint64_t seed = 0xface + 0x9e3779b97f4a7c15ULL * ++repeat;
-  const std::vector<LaneGroupSpec> groups = BuildGroups(seed);
+  // Sixteen groups of long traces: enough work per lane (>= ~100 ms per
+  // repetition unsanitized) that the four lanes genuinely overlap.
+  const std::vector<LaneGroupSpec> groups =
+      BuildGroups(seed, /*group_count=*/16, /*trace_length=*/32000);
   ExpectSameOutcome(groups, RunLaneGroups(groups, 1), RunLaneGroups(groups, 4), 4);
 }
 

@@ -493,6 +493,53 @@ std::string FlatFromSections(const Sections& sections) {
   return w.Seal();
 }
 
+// A restore's error on each path; nullopt when that path restored cleanly.
+struct RestoreOutcome {
+  std::optional<SnapshotError> sectioned;
+  std::optional<SnapshotError> flat;
+};
+
+// Restores `sections` into fresh VMs built from `config`, once as a
+// re-sealed sectioned cut and once as the equivalent flat cut.
+RestoreOutcome RestoreBothPaths(const Sections& sections, const PagedVmConfig& config) {
+  RestoreOutcome out;
+  auto resolved = ResolveSectionChain({SealSections(sections)});
+  if (!resolved.has_value()) {
+    out.sectioned = resolved.error();
+  } else {
+    SectionSource src = std::move(resolved.value());
+    PagedLinearVm by_sections(config);
+    by_sections.LoadSections(&src);
+    src.FailIfUnopened();
+    if (!src.ok()) {
+      out.sectioned = src.error();
+    }
+  }
+  const std::string flat_cut = FlatFromSections(sections);
+  SnapshotReader r(flat_cut);
+  PagedLinearVm by_flat(config);
+  by_flat.LoadState(&r);
+  if (!r.ok() || !r.AtEnd()) {
+    out.flat = r.ok() ? SnapshotError{SnapshotErrorKind::kTruncated, "trailing bytes"}
+                      : r.error();
+  }
+  return out;
+}
+
+// Expects both restore paths to reject the cut as kBadValue (and to have
+// returned, not aborted), with `detail` in the error when it is given.
+void ExpectBadValueOnBothPaths(const RestoreOutcome& out, const std::string& what,
+                               const std::string& detail = "") {
+  for (const auto& [path, error] : {std::pair{"sectioned", &out.sectioned},
+                                    std::pair{"flat", &out.flat}}) {
+    ASSERT_TRUE(error->has_value()) << what << ": " << path << " restore succeeded";
+    EXPECT_EQ((*error)->kind, SnapshotErrorKind::kBadValue)
+        << what << ": " << path << ": " << (*error)->Describe();
+    EXPECT_NE((*error)->Describe().find(detail), std::string::npos)
+        << what << ": " << path << ": " << (*error)->Describe();
+  }
+}
+
 ChunkEntries DecodeChunkBody(const std::string& body) {
   SnapshotReader r = SnapshotReader::ForPayload(body);
   ChunkEntries entries(r.U64());
@@ -552,41 +599,14 @@ TEST(PagedVmSnapshotTest, MutatedPageTableChunkRestoresAsBadValue) {
   ChunkEntries swapped = entries;
   std::swap(swapped[0].first, swapped[1].first);
 
-  // Restores the cut with `body` in place of the chunk on both paths; each
-  // error is nullopt when that path restored cleanly.
-  struct Outcome {
-    std::optional<SnapshotError> sectioned;
-    std::optional<SnapshotError> flat;
-  };
   auto restore = [&](const ChunkEntries& body) {
     Sections mutated = sections;
     mutated[chunk].second = EncodeChunkBody(body);
-    Outcome out;
-    auto resolved = ResolveSectionChain({SealSections(mutated)});
-    if (!resolved.has_value()) {
-      out.sectioned = resolved.error();
-    } else {
-      SectionSource src = std::move(resolved.value());
-      PagedLinearVm by_sections(PagedConfigFromSpec(spec));
-      by_sections.LoadSections(&src);
-      src.FailIfUnopened();
-      if (!src.ok()) {
-        out.sectioned = src.error();
-      }
-    }
-    const std::string flat_cut = FlatFromSections(mutated);
-    SnapshotReader r(flat_cut);
-    PagedLinearVm by_flat(PagedConfigFromSpec(spec));
-    by_flat.LoadState(&r);
-    if (!r.ok() || !r.AtEnd()) {
-      out.flat = r.ok() ? SnapshotError{SnapshotErrorKind::kTruncated, "trailing bytes"}
-                        : r.error();
-    }
-    return out;
+    return RestoreBothPaths(mutated, PagedConfigFromSpec(spec));
   };
 
   // The untouched body, re-sealed the same way, restores cleanly.
-  const Outcome clean = restore(entries);
+  const RestoreOutcome clean = restore(entries);
   EXPECT_FALSE(clean.sectioned.has_value()) << clean.sectioned->Describe();
   EXPECT_FALSE(clean.flat.has_value()) << clean.flat->Describe();
 
@@ -594,13 +614,144 @@ TEST(PagedVmSnapshotTest, MutatedPageTableChunkRestoresAsBadValue) {
       {"frame moved", moved}, {"entry added", added},
       {"entry dropped", dropped}, {"offsets swapped", swapped}};
   for (const auto& [what, body] : mutations) {
-    const Outcome out = restore(body);
-    ASSERT_TRUE(out.sectioned.has_value()) << what << ": sectioned restore succeeded";
-    EXPECT_EQ(out.sectioned->kind, SnapshotErrorKind::kBadValue) << what << ": "
-                                                                 << out.sectioned->Describe();
-    ASSERT_TRUE(out.flat.has_value()) << what << ": flat restore succeeded";
-    EXPECT_EQ(out.flat->kind, SnapshotErrorKind::kBadValue) << what << ": "
-                                                            << out.flat->Describe();
+    ExpectBadValueOnBothPaths(restore(body), what);
+  }
+}
+
+// Little-endian u64 field access inside a section body.
+std::uint64_t GetU64(const std::string& body, std::size_t at) {
+  std::uint64_t v = 0;
+  for (std::size_t i = 0; i < 8; ++i) {
+    v |= std::uint64_t{static_cast<unsigned char>(body[at + i])} << (8 * i);
+  }
+  return v;
+}
+
+void PutU64(std::string* body, std::size_t at, std::uint64_t v) {
+  for (std::size_t i = 0; i < 8; ++i) {
+    (*body)[at + i] = static_cast<char>((v >> (8 * i)) & 0xff);
+  }
+}
+
+std::size_t SectionIndex(const Sections& sections, const std::string& name) {
+  std::size_t i = 0;
+  while (i < sections.size() && sections[i].first != name) {
+    ++i;
+  }
+  return i;
+}
+
+// A mid-run full cut of a VM built from `config`, split into sections.
+Sections MidRunSections(const PagedVmConfig& config) {
+  const ReferenceTrace trace = VmTrace();
+  PagedLinearVm vm(config);
+  for (std::size_t i = 0; i < trace.refs.size() / 2; ++i) {
+    vm.Step(trace.refs[i]);
+  }
+  SectionedSnapshotWriter w;
+  vm.SaveSections(&w);
+  return SplitFullSeal(w.SealFull());
+}
+
+// vm.pager opens with the frame table: the frame count, then per frame the
+// occupied/pinned/retired flags, the page, two sensors and three times.
+constexpr std::size_t kFrameRecordBytes = 3 + 8 + 2 + 3 * 8;
+bool FrameOccupied(const std::string& pager, std::size_t f) {
+  return pager[8 + f * kFrameRecordBytes] != 0;
+}
+std::size_t FramePageAt(std::size_t f) { return 8 + f * kFrameRecordBytes + 3; }
+
+TEST(PagedVmSnapshotTest, PageInTwoOccupiedFramesRestoresAsBadValue) {
+  const SystemSpec spec = ServeSpec(ReplacementStrategyKind::kLru);
+  const PagedVmConfig config = PagedConfigFromSpec(spec);
+  const Sections sections = MidRunSections(config);
+  const std::size_t pager = SectionIndex(sections, "vm.pager");
+  ASSERT_LT(pager, sections.size());
+  const std::string& body = sections[pager].second;
+  std::vector<std::size_t> occupied;
+  for (std::size_t f = 0; f < GetU64(body, 0); ++f) {
+    if (FrameOccupied(body, f)) {
+      occupied.push_back(f);
+    }
+  }
+  ASSERT_GE(occupied.size(), 2u);
+
+  const RestoreOutcome clean = RestoreBothPaths(sections, config);
+  EXPECT_FALSE(clean.sectioned.has_value()) << clean.sectioned->Describe();
+  EXPECT_FALSE(clean.flat.has_value()) << clean.flat->Describe();
+
+  // The second occupied frame claims the first one's page; the frame
+  // table's index build must catch it before the mapper cross-check runs.
+  Sections mutated = sections;
+  PutU64(&mutated[pager].second, FramePageAt(occupied[1]),
+         GetU64(body, FramePageAt(occupied[0])));
+  ExpectBadValueOnBothPaths(RestoreBothPaths(mutated, config), "page in two frames",
+                            "two frames");
+}
+
+TEST(PagedVmSnapshotTest, MutatedAtlasRegisterRestoresAsBadValue) {
+  const SystemSpec spec = ServeSpec(ReplacementStrategyKind::kLru);
+  PagedVmConfig config = PagedConfigFromSpec(spec);
+  config.mapper = PagedMapperKind::kAtlasRegisters;
+  const Sections sections = MidRunSections(config);
+  const std::size_t pager = SectionIndex(sections, "vm.pager");
+  const std::size_t head = SectionIndex(sections, "map.head");
+  ASSERT_LT(pager, sections.size());
+  ASSERT_LT(head, sections.size());
+  const std::string& frames = sections[pager].second;
+  std::optional<std::size_t> occupied;
+  std::optional<std::size_t> vacant;
+  for (std::size_t f = 0; f < GetU64(frames, 0); ++f) {
+    (FrameOccupied(frames, f) ? occupied : vacant) = f;
+  }
+  ASSERT_TRUE(occupied.has_value());
+  ASSERT_TRUE(vacant.has_value()) << "the mid-run cut should leave a frame vacant";
+
+  const RestoreOutcome clean = RestoreBothPaths(sections, config);
+  EXPECT_FALSE(clean.sectioned.has_value()) << clean.sectioned->Describe();
+  EXPECT_FALSE(clean.flat.has_value()) << clean.flat->Describe();
+
+  // map.head: the register count, then per frame a loaded flag and a page.
+  const auto loaded_at = [](std::size_t f) { return 8 + f * 9; };
+  const std::uint64_t unused_page = 0x7777;  // in no register, in no frame
+  const auto mutate = [&](std::size_t f, bool loaded, std::uint64_t page) {
+    Sections mutated = sections;
+    mutated[head].second[loaded_at(f)] = static_cast<char>(loaded ? 1 : 0);
+    PutU64(&mutated[head].second, loaded_at(f) + 1, page);
+    return RestoreBothPaths(mutated, config);
+  };
+  ExpectBadValueOnBothPaths(mutate(*occupied, true, unused_page), "register names another page",
+                            "address map");
+  ExpectBadValueOnBothPaths(mutate(*occupied, false, 0), "occupied frame's register cleared",
+                            "address map");
+  ExpectBadValueOnBothPaths(mutate(*vacant, true, unused_page), "vacant frame holds a register",
+                            "address map");
+}
+
+TEST(PagedVmSnapshotTest, VersionTwoCutIsStale) {
+  // Version 2 still carried the pager's residency map; there is no decode
+  // path for it, only a typed rejection.
+  const SystemSpec spec = ServeSpec(ReplacementStrategyKind::kLru);
+  const ReferenceTrace trace = VmTrace();
+  PagedLinearVm vm(PagedConfigFromSpec(spec));
+  for (std::size_t i = 0; i < trace.refs.size() / 2; ++i) {
+    vm.Step(trace.refs[i]);
+  }
+  SnapshotWriter flat;
+  vm.SaveState(&flat);
+  SectionedSnapshotWriter sectioned;
+  vm.SaveSections(&sectioned);
+  for (std::string cut : {flat.Seal(), sectioned.SealFull()}) {
+    cut[8] = 2;  // version LSB; the header checksum covers the payload only
+    SnapshotReader r(cut);
+    ASSERT_FALSE(r.ok());
+    EXPECT_EQ(r.error().kind, SnapshotErrorKind::kStaleVersion) << r.error().Describe();
+    PagedLinearVm fresh(PagedConfigFromSpec(spec));
+    fresh.LoadState(&r);
+    EXPECT_EQ(r.error().kind, SnapshotErrorKind::kStaleVersion);
+    const auto resolved = ResolveSectionChain({cut});
+    ASSERT_FALSE(resolved.has_value());
+    EXPECT_EQ(resolved.error().kind, SnapshotErrorKind::kStaleVersion);
   }
 }
 
