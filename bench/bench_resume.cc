@@ -2,25 +2,27 @@
 //
 // Each grid cell builds a PagedLinearVm at a given frame count, steps a
 // working-set trace far enough to populate the frame table, allocator,
-// binmaps, and metrics with real mid-run state, then measures:
+// binmaps, and metrics with real mid-run state, then measures a full cut —
+// the sectioned seal with every section inline, the one encoding of VM
+// state:
 //
-//   state_bytes     the sealed snapshot size (deterministic — part of the
-//                   committed reference; it tracks frame count, since the
-//                   page table encodes only its present entries)
-//   save_seconds    wall-clock to serialize + seal, best of several reps
-//   load_seconds    wall-clock to verify + restore into a fresh instance
+//   save_seconds    wall-clock to serialize + seal a full cut, best of
+//                   several reps (page-table chunk bodies come from the
+//                   mapper's version-keyed cache after the first rep, as
+//                   they do for the service's repeated commits)
+//   load_seconds    wall-clock to resolve the one-link chain and restore a
+//                   fresh instance
 //
-// On top of the flat measurements each cell runs the DELTA curve: a
-// sectioned full cut is sealed and digested, the VM re-steps a steady-state
-// stretch of trace (the resident working set, so only touched page-table
-// chunks and the pager/clock/tally sections go stale), and a delta cut is
-// sealed against the digest:
+// Then each cell runs the DELTA curve: a full cut is sealed and digested,
+// the VM re-steps a steady-state stretch of trace (the resident working
+// set, so only touched page-table chunks and the pager/clock/tally sections
+// go stale), and a delta cut is sealed against the digest:
 //
-//   full_bytes          sectioned full seal size (slightly above state_bytes
-//                       — section names + framing)
+//   full_bytes          full cut size (deterministic — part of the
+//                       committed reference; it tracks frame count, since
+//                       the page table encodes only its present entries)
 //   delta_bytes         delta seal size after the steady-state stretch
-//   delta_save_seconds  best-of-reps delta serialize + seal (dirty-chunk
-//                       caching should put this well under save_seconds)
+//   delta_save_seconds  best-of-reps delta serialize + seal
 //   delta_load_seconds  resolve [full, delta] chain + restore a fresh VM
 //
 // The gate is the property the service mode stands on, checked in every
@@ -67,7 +69,7 @@ dsa::SystemSpec SpecForFrames(std::size_t frames) {
   spec.core_words = static_cast<dsa::WordCount>(frames) * kPageWords;
   spec.page_words = kPageWords;
   spec.tlb_entries = 8;
-  // The drum scales with the core it backs, so state_bytes tracks the
+  // The drum scales with the core it backs, so full_bytes tracks the
   // simulated machine's size instead of a fixed worst-case name space.
   const dsa::WordCount drum_words =
       static_cast<dsa::WordCount>(frames) * kPageWords * 4;
@@ -92,7 +94,6 @@ dsa::ReferenceTrace TraceForFrames(std::size_t frames, std::size_t refs) {
 struct Cell {
   std::size_t frames{0};
   std::size_t refs{0};
-  std::size_t state_bytes{0};
   double save_seconds{0};
   double load_seconds{0};
   std::size_t full_bytes{0};
@@ -102,6 +103,26 @@ struct Cell {
   bool delta_identical{false};
   bool gate_ok{false};
 };
+
+// Restores the one-link chain {cut} into the freshly built `vm`; reports
+// a failure on stderr.
+bool RestoreFullCut(const std::string& cut, dsa::PagedLinearVm* vm, std::size_t frames) {
+  auto resolved = dsa::ResolveSectionChain({cut});
+  if (!resolved.has_value()) {
+    std::fprintf(stderr, "bench_resume: resolve failed at %zu frames: %s\n", frames,
+                 resolved.error().Describe().c_str());
+    return false;
+  }
+  dsa::SectionSource src = std::move(resolved.value());
+  vm->LoadSections(&src);
+  src.FailIfUnopened();
+  if (!src.ok()) {
+    std::fprintf(stderr, "bench_resume: load failed at %zu frames: %s\n", frames,
+                 src.error().Describe().c_str());
+    return false;
+  }
+  return true;
+}
 
 // Full-cut size bound: full_bytes <= kFullBytesPerFrame * frames +
 // kFullBytesBase in every cell.
@@ -122,33 +143,30 @@ Cell RunCell(std::size_t frames, std::size_t refs, int reps) {
     vm.Step(trace.refs[i]);
   }
 
-  // Save cost: best-of-reps, each rep a full serialize + seal.
+  // Save cost: best-of-reps, each rep a full cut.
   std::string sealed;
   double best_save = 0;
   for (int rep = 0; rep < reps; ++rep) {
     const double t0 = Now();
-    dsa::SnapshotWriter w;
-    vm.SaveState(&w);
-    sealed = w.Seal();
+    dsa::SectionedSnapshotWriter w;
+    vm.SaveSections(&w);
+    sealed = w.SealFull();
     const double dt = Now() - t0;
     if (rep == 0 || dt < best_save) {
       best_save = dt;
     }
   }
-  cell.state_bytes = sealed.size();
   cell.save_seconds = best_save;
 
-  // Load cost: header verification + full restore into a fresh instance.
+  // Load cost: resolve the one-link chain {sealed} (header verification
+  // included) and restore a fresh instance.
   double best_load = 0;
   for (int rep = 0; rep < reps; ++rep) {
     dsa::PagedLinearVm fresh(dsa::PagedConfigFromSpec(spec));
     const double t0 = Now();
-    dsa::SnapshotReader r(sealed);
-    fresh.LoadState(&r);
+    const bool restored_ok = RestoreFullCut(sealed, &fresh, frames);
     const double dt = Now() - t0;
-    if (!r.ok() || !r.AtEnd()) {
-      std::fprintf(stderr, "bench_resume: load failed at %zu frames: %s\n",
-                   frames, r.error().Describe().c_str());
+    if (!restored_ok) {
       return cell;
     }
     if (rep == 0 || dt < best_load) {
@@ -159,16 +177,12 @@ Cell RunCell(std::size_t frames, std::size_t refs, int reps) {
 
   // Gate 1: the restored instance re-serializes to the identical bytes.
   dsa::PagedLinearVm restored(dsa::PagedConfigFromSpec(spec));
-  {
-    dsa::SnapshotReader r(sealed);
-    restored.LoadState(&r);
-    if (!r.ok() || !r.AtEnd()) {
-      return cell;
-    }
+  if (!RestoreFullCut(sealed, &restored, frames)) {
+    return cell;
   }
-  dsa::SnapshotWriter again;
-  restored.SaveState(&again);
-  if (again.Seal() != sealed) {
+  dsa::SectionedSnapshotWriter again;
+  restored.SaveSections(&again);
+  if (again.SealFull() != sealed) {
     std::fprintf(stderr,
                  "bench_resume: GATE: restored state re-serializes "
                  "differently at %zu frames\n",
@@ -344,13 +358,13 @@ int main(int argc, char** argv) {
                                    static_cast<double>(c.delta_bytes)
                              : 0.0;
     std::fprintf(out,
-                 "    {\"frames\": %zu, \"state_bytes\": %zu, "
+                 "    {\"frames\": %zu, "
                  "\"save_seconds\": %.6f, \"load_seconds\": %.6f, "
                  "\"full_bytes\": %zu, \"delta_bytes\": %zu, "
                  "\"delta_ratio\": %.2f, \"delta_save_seconds\": %.6f, "
                  "\"delta_load_seconds\": %.6f, \"delta_identical\": %s, "
                  "\"restore_identical\": %s}%s\n",
-                 c.frames, c.state_bytes, c.save_seconds, c.load_seconds,
+                 c.frames, c.save_seconds, c.load_seconds,
                  c.full_bytes, c.delta_bytes, ratio, c.delta_save_seconds,
                  c.delta_load_seconds, c.delta_identical ? "true" : "false",
                  c.gate_ok ? "true" : "false", i + 1 < cells.size() ? "," : "");

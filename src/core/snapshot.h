@@ -39,8 +39,10 @@ namespace dsa {
 // guessing at field offsets.  Version 2 encodes page-table chunks sparsely
 // and backing-store slots as (slot id, words) pairs; version 3 drops the
 // pager's page -> frame residency map (the frame table's occupants are the
-// one record of residency, and restore rebuilds its index from them).
-inline constexpr std::uint32_t kSnapshotFormatVersion = 3;
+// one record of residency, and restore rebuilds its index from them);
+// version 4 drops the page-table mapper's last-translation line from
+// map.head.
+inline constexpr std::uint32_t kSnapshotFormatVersion = 4;
 
 enum class SnapshotErrorKind : std::uint8_t {
   kTruncated,     // fewer bytes than the header or payload promised
@@ -163,9 +165,9 @@ struct SectionBaseline {
   bool empty() const { return hashes.empty(); }
 };
 
-// Builds a sectioned snapshot.  Components stream into Begin()'s writer just
-// like the flat SaveState path; cached pre-serialized bodies go in via
-// Section() without re-encoding.
+// Builds a sectioned snapshot.  Components stream into Begin()'s writer
+// through their SaveState(SnapshotWriter*); cached pre-serialized bodies go
+// in via Section() without re-encoding.
 class SectionedSnapshotWriter {
  public:
   // Opens a new section; the returned writer is valid until the next Begin/

@@ -40,7 +40,8 @@ class AssociativeMemory {
 
   // Checkpoint serialization: slot contents in stored order (order matters —
   // LRU eviction scans linearly and ties break by position) plus the hit
-  // counters.  The memory must be constructed with the same capacity.
+  // counters.  The memory must be constructed with the same capacity.  A key
+  // held by two slots is kBadValue: Insert never stores one twice.
   void SaveState(SnapshotWriter* w) const {
     w->U64(slots_.size());
     for (const Slot& slot : slots_) {
@@ -60,6 +61,11 @@ class AssociativeMemory {
       slot.key = r->U64();
       slot.value = r->U64();
       slot.last_use = r->U64();
+      for (const Slot& other : slots) {
+        if (other.key == slot.key) {
+          r->Fail(SnapshotErrorKind::kBadValue, "one key in two associative slots");
+        }
+      }
       slots.push_back(slot);
     }
     const std::uint64_t hits = r->U64();
@@ -72,6 +78,13 @@ class AssociativeMemory {
     misses_ = misses;
   }
 
+  struct Slot {
+    std::uint64_t key;
+    std::uint64_t value;
+    Cycles last_use;
+  };
+
+  const std::vector<Slot>& slots() const { return slots_; }
   std::size_t size() const { return slots_.size(); }
   std::uint64_t hits() const { return hits_; }
   std::uint64_t misses() const { return misses_; }
@@ -81,12 +94,6 @@ class AssociativeMemory {
   }
 
  private:
-  struct Slot {
-    std::uint64_t key;
-    std::uint64_t value;
-    Cycles last_use;
-  };
-
   std::size_t entries_;
   std::vector<Slot> slots_;
   std::uint64_t hits_{0};

@@ -47,16 +47,6 @@ TranslationResult PageTableMapper::Translate(Name name, AccessKind kind, Cycles 
     return MakeUnexpected(fault);
   }
 
-  // Last-translation line: a repeat reference to the page most recently
-  // translated skips the table walk while reporting the identical cost the
-  // walk would have charged.
-  if (line_valid_ && tlb_.capacity() == 0 && page == line_page_) {
-    ++line_hits_;
-    cost = costs_.core_reference;
-    CountTranslation(cost);
-    return Translation{PhysicalAddress{line_frame_ * page_words_ + offset}, cost, false};
-  }
-
   // Associative probe first, when the facility exists.
   if (tlb_.capacity() > 0) {
     cost += costs_.associative_search;
@@ -77,26 +67,15 @@ TranslationResult PageTableMapper::Translate(Name name, AccessKind kind, Cycles 
   if (tlb_.capacity() > 0) {
     tlb_.Insert(page.value, entry.frame.value, now);
   }
-  line_valid_ = true;
-  line_page_ = page;
-  line_frame_ = entry.frame.value;
   CountTranslation(cost);
   return Translation{PhysicalAddress{entry.frame.value * page_words_ + offset}, cost, false};
 }
 
-void PageTableMapper::Map(PageId page, FrameId frame) {
-  table_.Map(page, frame);
-  if (line_valid_ && line_page_ == page) {
-    line_valid_ = false;
-  }
-}
+void PageTableMapper::Map(PageId page, FrameId frame) { table_.Map(page, frame); }
 
 void PageTableMapper::Unmap(PageId page) {
   table_.Unmap(page);
   tlb_.Invalidate(page.value);
-  if (line_valid_ && line_page_ == page) {
-    line_valid_ = false;
-  }
 }
 
 namespace {
@@ -145,34 +124,6 @@ std::string ChunkSectionName(std::size_t chunk) {
 
 }  // namespace
 
-void PageTable::SaveState(SnapshotWriter* w) const {
-  w->U64(entries_.size());
-  for (std::size_t k = 0; k < ChunkCount(); ++k) {
-    SaveChunk(k, w);
-  }
-}
-
-void PageTable::LoadState(SnapshotReader* r) {
-  const std::uint64_t count = r->U64();
-  if (r->ok() && count != entries_.size()) {
-    r->Fail(SnapshotErrorKind::kBadValue, "page table size mismatch");
-  }
-  std::vector<PageTableEntry> entries(entries_.size());
-  std::size_t present = 0;
-  for (std::size_t begin = 0; begin < entries.size() && r->ok(); begin += kChunkEntries) {
-    const std::size_t size = std::min(kChunkEntries, entries.size() - begin);
-    present += DecodeChunk(r, size, entries.data() + begin);
-  }
-  if (!r->ok()) {
-    return;
-  }
-  entries_ = std::move(entries);
-  present_count_ = present;
-  for (std::uint64_t& version : chunk_versions_) {
-    ++version;  // every chunk may have changed; stale caches must miss
-  }
-}
-
 void PageTable::SaveChunk(std::size_t chunk, SnapshotWriter* w) const {
   DSA_ASSERT(chunk < ChunkCount(), "chunk out of range");
   const std::size_t begin = chunk * kChunkEntries;
@@ -197,42 +148,11 @@ void PageTable::LoadChunk(std::size_t chunk, SnapshotReader* r) {
   ++chunk_versions_[chunk];
 }
 
-void PageTableMapper::SaveState(SnapshotWriter* w) const {
-  table_.SaveState(w);
-  tlb_.SaveState(w);
-  w->Bool(line_valid_);
-  w->U64(line_page_.value);
-  w->U64(line_frame_);
-  w->U64(line_hits_);
-  SaveAccounting(w);
-}
-
-void PageTableMapper::LoadState(SnapshotReader* r) {
-  table_.LoadState(r);
-  tlb_.LoadState(r);
-  const bool line_valid = r->Bool();
-  const PageId line_page{r->U64()};
-  const std::uint64_t line_frame = r->U64();
-  const std::uint64_t line_hits = r->U64();
-  LoadAccounting(r);
-  if (!r->ok()) {
-    return;
-  }
-  line_valid_ = line_valid;
-  line_page_ = line_page;
-  line_frame_ = line_frame;
-  line_hits_ = line_hits;
-}
-
 void PageTableMapper::SaveSections(SectionedSnapshotWriter* w) const {
   {
     SnapshotWriter* head = w->Begin("map.head");
     head->U64(table_.page_count());
     tlb_.SaveState(head);
-    head->Bool(line_valid_);
-    head->U64(line_page_.value);
-    head->U64(line_frame_);
-    head->U64(line_hits_);
     SaveAccounting(head);
   }
   if (chunk_cache_.size() != table_.ChunkCount()) {
@@ -258,17 +178,8 @@ void PageTableMapper::LoadSections(SectionSource* src) {
       r.Fail(SnapshotErrorKind::kBadValue, "page table size mismatch");
     }
     tlb_.LoadState(&r);
-    const bool line_valid = r.Bool();
-    const PageId line_page{r.U64()};
-    const std::uint64_t line_frame = r.U64();
-    const std::uint64_t line_hits = r.U64();
     LoadAccounting(&r);
-    if (src->Close(&r, "map.head")) {
-      line_valid_ = line_valid;
-      line_page_ = line_page;
-      line_frame_ = line_frame;
-      line_hits_ = line_hits;
-    }
+    src->Close(&r, "map.head");
   }
   for (std::size_t k = 0; k < table_.ChunkCount() && src->ok(); ++k) {
     const std::string name = ChunkSectionName(k);

@@ -44,12 +44,6 @@ class PageTable {
   // Entries currently marked present.
   std::size_t present_count() const { return present_count_; }
 
-  // The page count, then every chunk body in chunk order (see SaveChunk).
-  // LoadState decodes into scratch storage and changes nothing unless the
-  // whole table decodes.
-  void SaveState(SnapshotWriter* w) const;
-  void LoadState(SnapshotReader* r);
-
   // --- chunked view, the delta-checkpoint dirty-tracking granule ---
   // The table is split into fixed chunks of kChunkEntries entries; every
   // Map/Unmap bumps the touched chunk's version, so a serialization cache
@@ -100,20 +94,12 @@ class PageTableMapper : public AddressMapper {
   PageId PageOf(Name name) const { return PageId{name.value >> offset_bits_}; }
   WordCount OffsetOf(Name name) const { return name.value & (page_words_ - 1); }
 
-  // Resident hits served from the last-translation line (see below).
-  std::uint64_t line_hits() const { return line_hits_; }
-
-  // Checkpoint serialization: the table, the TLB, the last-translation line,
-  // and the inherited accounting block.
-  void SaveState(SnapshotWriter* w) const;
-  void LoadState(SnapshotReader* r);
-
-  // Sectioned serialization for delta checkpoints: a "map.head" section
-  // (geometry, TLB, translation line, accounting) followed by one
-  // "map.pt.<k>" section per page-table chunk.  Chunk bodies are served
-  // from a version-keyed cache, so a chunk untouched since the previous
-  // seal costs a hash lookup instead of a re-encode — and an unchanged
-  // body then collapses to a 17-byte ref in the delta seal.
+  // Checkpoint serialization: a "map.head" section (the page count, the
+  // TLB, the accounting block) followed by one "map.pt.<k>" section per
+  // page-table chunk.  Chunk bodies are served from a version-keyed cache,
+  // so a chunk untouched since the previous seal costs a hash lookup
+  // instead of a re-encode — and an unchanged body then collapses to a
+  // 17-byte ref in the delta seal.
   void SaveSections(SectionedSnapshotWriter* w) const;
   void LoadSections(SectionSource* src);
 
@@ -128,16 +114,6 @@ class PageTableMapper : public AddressMapper {
   PageTable table_;
   AssociativeMemory tlb_;
   MappingCostModel costs_;
-  // Software last-translation line: memoizes the most recent successful
-  // translation so repeated references to the same page skip the table walk.
-  // Invalidated whenever the page's mapping changes (Map/Unmap).  Only
-  // consulted when no associative memory is configured — with a TLB the TLB
-  // is the modeled fast path and its recency/hit statistics must keep
-  // advancing exactly as the hardware's would.
-  bool line_valid_{false};
-  PageId line_page_{};
-  std::uint64_t line_frame_{0};
-  std::uint64_t line_hits_{0};
   // Serialization cache for SaveSections; mutable because caching chunk
   // bodies does not change observable mapper state.
   mutable std::vector<ChunkCache> chunk_cache_;

@@ -64,8 +64,6 @@ void SegmentPageMapper::ResizeSegment(SegmentId segment, WordCount extent) {
   }
   entry.pages = std::move(grown);
   entry.extent = extent;
-  // The cached line may point into the truncated tail; drop it wholesale.
-  line_valid_ = false;
 }
 
 void SegmentPageMapper::DestroySegment(SegmentId segment) {
@@ -75,7 +73,6 @@ void SegmentPageMapper::DestroySegment(SegmentId segment) {
     tlb_.Invalidate(TlbKey(segment, PageId{p}));
   }
   entry = SegmentTableEntry{};
-  line_valid_ = false;
 }
 
 bool SegmentPageMapper::SegmentIsDefined(SegmentId segment) const {
@@ -92,9 +89,6 @@ void SegmentPageMapper::MapPage(SegmentId segment, PageId page, FrameId frame) {
   SegmentTableEntry& entry = EntryFor(segment);
   DSA_ASSERT(entry.valid, "mapping a page of an undefined segment");
   entry.pages->Map(page, frame);
-  if (line_valid_ && line_key_ == TlbKey(segment, page)) {
-    line_valid_ = false;
-  }
 }
 
 void SegmentPageMapper::UnmapPage(SegmentId segment, PageId page) {
@@ -104,9 +98,6 @@ void SegmentPageMapper::UnmapPage(SegmentId segment, PageId page) {
   tlb_.Invalidate(TlbKey(segment, page));
   if (execute_register_.has_value() && execute_register_->first == TlbKey(segment, page)) {
     execute_register_.reset();
-  }
-  if (line_valid_ && line_key_ == TlbKey(segment, page)) {
-    line_valid_ = false;
   }
 }
 
@@ -135,25 +126,6 @@ TranslationResult SegmentPageMapper::TranslateSegmented(SegmentedName name, Acce
   const SegmentTableEntry& entry = table_[name.segment.value];
   const PageId page = PageOf(name.offset);
   const WordCount offset_in_page = name.offset & (page_words_ - 1);
-
-  // Last-translation line: a repeat reference to the (segment, page) most
-  // recently translated skips both table walks.  The extent check must be
-  // redone — the offset within the segment varies — and the charged cost is
-  // exactly what the walk would have reported.
-  if (line_valid_ && tlb_.capacity() == 0 && !dedicated_execute_register_ && entry.valid &&
-      line_key_ == TlbKey(name.segment, page)) {
-    if (name.offset >= entry.extent) {
-      cost += costs_.core_reference;  // the segment-table reference that detects it
-      Fault fault{FaultKind::kBoundsViolation, linear, name.segment, page, cost};
-      CountFault(cost);
-      return MakeUnexpected(fault);
-    }
-    ++line_hits_;
-    cost += costs_.core_reference + costs_.core_reference;
-    CountTranslation(cost);
-    return Translation{PhysicalAddress{line_frame_ * page_words_ + offset_in_page}, cost,
-                       false};
-  }
 
   // The dedicated instruction-counter register is probed first for
   // instruction fetches (360/67's ninth register).
@@ -216,9 +188,6 @@ TranslationResult SegmentPageMapper::TranslateSegmented(SegmentedName name, Acce
   if (dedicated_execute_register_ && kind == AccessKind::kExecute) {
     execute_register_ = {TlbKey(name.segment, page), page_entry.frame.value};
   }
-  line_valid_ = true;
-  line_key_ = TlbKey(name.segment, page);
-  line_frame_ = page_entry.frame.value;
   CountTranslation(cost);
   return Translation{PhysicalAddress{page_entry.frame.value * page_words_ + offset_in_page},
                      cost, false};

@@ -59,7 +59,6 @@ class SegmentPageMapper : public AddressMapper {
   WordCount max_segment_extent() const { return WordCount{1} << offset_bits_; }
   const AssociativeMemory& tlb() const { return tlb_; }
   std::uint64_t execute_register_hits() const { return execute_register_hits_; }
-  std::uint64_t line_hits() const { return line_hits_; }
 
   // Core occupied by all mapping tables (segment table + live page tables).
   WordCount TableWords() const;
@@ -90,17 +89,6 @@ class SegmentPageMapper : public AddressMapper {
   // because a real key always has nonzero tag bits once loaded.
   std::optional<std::pair<std::uint64_t, std::uint64_t>> execute_register_;
   std::uint64_t execute_register_hits_{0};
-  // Software last-translation line: memoizes the most recent successful
-  // (segment, page) -> frame translation so repeated references skip both
-  // table walks while charging the identical simulated cost.  Invalidated
-  // whenever the cached mapping could change (unmap/remap/resize/destroy).
-  // Only consulted when no associative memory and no dedicated execute
-  // register are configured: those facilities are the modeled fast paths and
-  // their recency and hit statistics must keep advancing.
-  bool line_valid_{false};
-  std::uint64_t line_key_{0};
-  std::uint64_t line_frame_{0};
-  std::uint64_t line_hits_{0};
 };
 
 }  // namespace dsa

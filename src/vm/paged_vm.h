@@ -92,38 +92,30 @@ class PagedLinearVm : public StorageAllocationSystem {
   // callers that drive Step directly call it once before the first step).
   void Reset();
 
-  // Checkpoint serialization of the complete mid-run state: the clock, every
-  // storage component, the mapper, the pager (frame table, replacement
-  // decision state, residency), the fault stream position, the advice
-  // registry, the space-time integrals, and the step counters.  LoadState
-  // expects a freshly Reset() system built from the identical config; any
-  // inconsistency is reported through the reader; that includes an address
-  // map that differs from the frame table's occupants (kBadValue): a page
-  // table whose present entries are not exactly the resident pages, or an
-  // atlas register that does not hold its frame's page.  After a successful load, Step produces the bit-identical
-  // continuation of the checkpointed run.
-  void SaveState(SnapshotWriter* w) const;
-  void LoadState(SnapshotReader* r);
-
-  // Sectioned serialization for incremental checkpoints: the same complete
-  // state split into content-addressed sections (vm.clock, vm.backing,
-  // vm.channel, vm.rng, vm.advice, the mapper's map.* sections, vm.pager,
-  // vm.tally), so a delta seal re-emits only the sections that changed
-  // since the last committed cut.  Field order inside each section matches
-  // the flat path exactly; LoadSections has the flat path's contract
-  // (freshly built identical config, all-or-nothing application of the
-  // clock/rng/tally block).
+  // Checkpoint serialization of the complete mid-run state as named sections
+  // (vm.clock, vm.backing, vm.channel, vm.rng, vm.advice, the mapper's map.*
+  // sections, vm.pager, vm.tally), so a delta seal re-emits only the
+  // sections that changed since the last committed cut; a full cut is the
+  // same sections, every one inline.  LoadSections expects a freshly Reset()
+  // system built from the identical config and applies the clock/rng/tally
+  // block all-or-nothing.  Any inconsistency is reported through the source;
+  // that includes an address map that disagrees with the frame table's
+  // occupants (kBadValue, see MapperMatchesResidency).  After a successful
+  // load, Step produces the bit-identical continuation of the checkpointed
+  // run.
   void SaveSections(SectionedSnapshotWriter* w) const;
   void LoadSections(SectionSource* src);
 
- private:
-  PageId PageOf(Name name) const { return PageId{name.value / config_.page_words}; }
-
   // True when the address map agrees with the frame table's occupants: the
   // page table maps exactly the resident pages, each to the frame holding
-  // it; or each atlas register holds exactly its occupied frame's page and
-  // every vacant frame's register is clear.
+  // it, and every TLB slot maps a resident page to that frame; or each atlas
+  // register holds exactly its occupied frame's page and every vacant
+  // frame's register is clear.  Holds after every Step; a restore that
+  // breaks it fails as kBadValue.
   bool MapperMatchesResidency() const;
+
+ private:
+  PageId PageOf(Name name) const { return PageId{name.value / config_.page_words}; }
 
   PagedVmConfig config_;
   LinearNameSpace names_;

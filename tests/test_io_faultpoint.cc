@@ -103,7 +103,7 @@ ServeConfig ConfigFor(const Scratch& scratch, const std::string& tag) {
   // Every third commit full, the rest deltas: both sweeps then inject their
   // faults into mixed full+delta chains at every op index, proving the
   // delta path restores byte-identically under exactly the same IO abuse
-  // the flat path survives.
+  // the full-cut-only path survives.
   config.checkpoint_full_every = 3;
   config.rescan_spool = false;
   return config;

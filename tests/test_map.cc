@@ -206,6 +206,24 @@ TEST(PageTableMapperTest, NoTlbAlwaysPaysTableReference) {
     ASSERT_TRUE(t.has_value());
     EXPECT_EQ(t->cost, 2u);
   }
+  // A repeat after the page is unmapped faults at the same cost, and a
+  // repeat after it is mapped elsewhere reaches the new frame.
+  mapper.Unmap(PageId{0});
+  const auto gone = mapper.Translate(Name{0}, AccessKind::kRead, 1);
+  ASSERT_FALSE(gone.has_value());
+  EXPECT_EQ(gone.error().kind, FaultKind::kPageNotPresent);
+  EXPECT_EQ(gone.error().detection_cost, 2u);
+  mapper.Map(PageId{0}, FrameId{5});
+  for (int i = 0; i < 2; ++i) {
+    const auto t = mapper.Translate(Name{7}, AccessKind::kRead, 2);
+    ASSERT_TRUE(t.has_value());
+    EXPECT_EQ(t->cost, 2u);
+    EXPECT_EQ(t->address, PhysicalAddress{5 * 512 + 7});
+  }
+  // Six attempts, the fault included, each charged one table reference.
+  EXPECT_EQ(mapper.translations(), 6u);
+  EXPECT_EQ(mapper.faults(), 1u);
+  EXPECT_EQ(mapper.translation_cycles(), 12u);
 }
 
 TEST(PageTableMapperTest, AbsentPageFaultsWithPageId) {
@@ -278,33 +296,6 @@ TEST(PageTableTest, ChunkBodyHoldsOnlyPresentEntries) {
   EXPECT_EQ(loaded.present_count(), 3u);
 }
 
-TEST(PageTableTest, FlatSaveIsSizeThenEveryChunkBody) {
-  PageTable table(5000);
-  table.Map(PageId{10}, FrameId{0});
-  table.Map(PageId{4500}, FrameId{1});
-  SnapshotWriter flat;
-  table.SaveState(&flat);
-  SnapshotWriter expected;
-  expected.U64(5000);
-  SnapshotWriter chunk;
-  for (std::size_t k = 0; k < table.ChunkCount(); ++k) {
-    table.SaveChunk(k, &chunk);
-  }
-  const std::string chunks = chunk.TakePayload();
-  for (char c : chunks) {
-    expected.U8(static_cast<std::uint8_t>(c));
-  }
-  const std::string payload = flat.TakePayload();
-  EXPECT_EQ(payload, expected.TakePayload());
-
-  PageTable loaded(5000);
-  SnapshotReader r = SnapshotReader::ForPayload(payload);
-  loaded.LoadState(&r);
-  ASSERT_TRUE(r.ok() && r.AtEnd()) << r.error().Describe();
-  EXPECT_EQ(loaded.present_count(), 2u);
-  EXPECT_EQ(loaded.entry(PageId{4500}).frame, FrameId{1});
-}
-
 TEST(PageTableTest, SparseChunkDecoderRejectsMalformedBodies) {
   const std::vector<std::string> bad = {
       ChunkBody(905, {}),                  // count above the 904-entry chunk
@@ -323,23 +314,6 @@ TEST(PageTableTest, SparseChunkDecoderRejectsMalformedBodies) {
     EXPECT_EQ(table.present_count(), 1u);
     EXPECT_EQ(table.entry(PageId{4100}).frame, FrameId{2});
     EXPECT_FALSE(table.entry(PageId{4096 + 3}).present);
-
-    // The flat path decodes the same bodies and is all-or-nothing too.
-    SnapshotWriter flat;
-    flat.U64(5000);
-    for (int i = 0; i < 8; ++i) {
-      flat.U8(0);  // chunk 0: no present entries
-    }
-    for (char c : body) {
-      flat.U8(static_cast<std::uint8_t>(c));
-    }
-    const std::string payload = flat.TakePayload();
-    SnapshotReader fr = SnapshotReader::ForPayload(payload);
-    table.LoadState(&fr);
-    ASSERT_FALSE(fr.ok());
-    EXPECT_EQ(fr.error().kind, SnapshotErrorKind::kBadValue);
-    EXPECT_EQ(table.present_count(), 1u);
-    EXPECT_EQ(table.entry(PageId{4100}).frame, FrameId{2});
   }
 }
 
@@ -385,6 +359,35 @@ TEST_F(SegmentPageMapperTest, TwoLevelTranslationResolves) {
   EXPECT_EQ(t->address, PhysicalAddress{5 * 256 + 10});
   // TLB probe (1) + segment table (2) + page table (2).
   EXPECT_EQ(t->cost, 5u);
+
+  // Without a TLB every repeat walks both tables (2 + 2), and a repeat past
+  // the extent pays the segment-table reference that detects it; after an
+  // unmap the page faults, and after a remap the walk reaches the new frame.
+  SegmentPageMapper bare(4, 12, 256, /*tlb_entries=*/0);
+  bare.DefineSegment(SegmentId{1}, 1000);
+  bare.MapPage(SegmentId{1}, PageId{0}, FrameId{5});
+  for (int i = 0; i < 3; ++i) {
+    const auto repeat = bare.TranslateSegmented({SegmentId{1}, 10}, AccessKind::kRead, i);
+    ASSERT_TRUE(repeat.has_value());
+    EXPECT_EQ(repeat->cost, 4u);
+    EXPECT_EQ(repeat->address, PhysicalAddress{5 * 256 + 10});
+  }
+  const auto beyond = bare.TranslateSegmented({SegmentId{1}, 1000}, AccessKind::kRead, 3);
+  ASSERT_FALSE(beyond.has_value());
+  EXPECT_EQ(beyond.error().kind, FaultKind::kBoundsViolation);
+  EXPECT_EQ(beyond.error().detection_cost, 2u);
+  bare.UnmapPage(SegmentId{1}, PageId{0});
+  const auto gone = bare.TranslateSegmented({SegmentId{1}, 10}, AccessKind::kRead, 4);
+  ASSERT_FALSE(gone.has_value());
+  EXPECT_EQ(gone.error().kind, FaultKind::kPageNotPresent);
+  EXPECT_EQ(gone.error().detection_cost, 4u);
+  bare.MapPage(SegmentId{1}, PageId{0}, FrameId{2});
+  for (int i = 0; i < 2; ++i) {
+    const auto moved = bare.TranslateSegmented({SegmentId{1}, 20}, AccessKind::kRead, 5 + i);
+    ASSERT_TRUE(moved.has_value());
+    EXPECT_EQ(moved->cost, 4u);
+    EXPECT_EQ(moved->address, PhysicalAddress{2 * 256 + 20});
+  }
 }
 
 TEST_F(SegmentPageMapperTest, TlbHitSkipsBothTables) {

@@ -315,14 +315,46 @@ ReferenceTrace VmTrace() {
   return MakeWorkingSetTrace(params);
 }
 
+// Steps `vm` through trace.refs[from, to), asserting after every step that
+// the address map (page table and TLB, or atlas registers) agrees with the
+// frame table.
+void StepRange(PagedLinearVm* vm, const ReferenceTrace& trace, std::size_t from,
+               std::size_t to) {
+  for (std::size_t i = from; i < to; ++i) {
+    vm->Step(trace.refs[i]);
+    ASSERT_TRUE(vm->MapperMatchesResidency()) << "after step " << i;
+  }
+}
+
 std::string StepAll(PagedLinearVm* vm, const ReferenceTrace& trace,
                     std::size_t from) {
-  for (std::size_t i = from; i < trace.refs.size(); ++i) {
-    vm->Step(trace.refs[i]);
-  }
+  StepRange(vm, trace, from, trace.refs.size());
   VmReport report = vm->Snapshot();
   report.label = trace.label;
   return RenderVmReport(report, Describe(vm->characteristics()), trace.label);
+}
+
+// A full cut: the sectioned seal with every section inline.
+std::string SealFullCut(const PagedLinearVm& vm) {
+  SectionedSnapshotWriter w;
+  vm.SaveSections(&w);
+  return w.SealFull();
+}
+
+// Restores the one-link chain {cut} into `vm`, which must be freshly built;
+// returns the restore's error, or nullopt when it restored cleanly.
+std::optional<SnapshotError> RestoreFullCut(const std::string& cut, PagedLinearVm* vm) {
+  auto resolved = ResolveSectionChain({cut});
+  if (!resolved.has_value()) {
+    return resolved.error();
+  }
+  SectionSource src = std::move(resolved.value());
+  vm->LoadSections(&src);
+  src.FailIfUnopened();
+  if (!src.ok()) {
+    return src.error();
+  }
+  return std::nullopt;
 }
 
 TEST(PagedVmSnapshotTest, MidRunSaveLoadContinuesBitIdenticallyAcrossPolicies) {
@@ -341,20 +373,11 @@ TEST(PagedVmSnapshotTest, MidRunSaveLoadContinuesBitIdenticallyAcrossPolicies) {
                             trace.refs.size() / 2,
                             trace.refs.size() - 1}) {
       PagedLinearVm first(PagedConfigFromSpec(spec));
-      for (std::size_t i = 0; i < cut; ++i) {
-        first.Step(trace.refs[i]);
-      }
-      SnapshotWriter w;
-      first.SaveState(&w);
-      const std::string sealed = w.Seal();
-
+      StepRange(&first, trace, 0, cut);
       PagedLinearVm resumed(PagedConfigFromSpec(spec));
-      SnapshotReader r(sealed);
-      resumed.LoadState(&r);
-      ASSERT_TRUE(r.ok()) << ToString(policy) << " cut " << cut << ": "
-                          << r.error().Describe();
-      ASSERT_TRUE(r.AtEnd()) << ToString(policy) << " cut " << cut
-                             << ": trailing bytes after LoadState";
+      const auto error = RestoreFullCut(SealFullCut(first), &resumed);
+      ASSERT_FALSE(error.has_value()) << ToString(policy) << " cut " << cut << ": "
+                                      << error->Describe();
       EXPECT_EQ(StepAll(&resumed, trace, cut), expected)
           << ToString(policy) << " cut at " << cut;
     }
@@ -369,9 +392,7 @@ TEST(PagedVmSnapshotTest, SaveStateIsDeterministicForIdenticalState) {
     for (std::size_t i = 0; i < trace.refs.size() / 2; ++i) {
       vm.Step(trace.refs[i]);
     }
-    SnapshotWriter w;
-    vm.SaveState(&w);
-    return w.Seal();
+    return SealFullCut(vm);
   };
   EXPECT_EQ(capture(), capture());
 }
@@ -383,12 +404,10 @@ TEST(PagedVmSnapshotTest, CorruptVmSnapshotFailsTypedWithoutCrashing) {
   for (std::size_t i = 0; i < 1000; ++i) {
     vm.Step(trace.refs[i]);
   }
-  SnapshotWriter w;
-  vm.SaveState(&w);
-  const std::string sealed = w.Seal();
+  const std::string sealed = SealFullCut(vm);
 
   // Truncation, payload flips at several depths, and a stale version must
-  // all surface as reader errors — never an abort, never a partial load
+  // all surface as typed errors — never an abort, never a partial load
   // that silently "works".
   std::vector<std::string> corrupt;
   corrupt.push_back(sealed.substr(0, sealed.size() / 2));
@@ -404,42 +423,36 @@ TEST(PagedVmSnapshotTest, CorruptVmSnapshotFailsTypedWithoutCrashing) {
   }
   for (const std::string& bytes : corrupt) {
     PagedLinearVm fresh(PagedConfigFromSpec(spec));
-    SnapshotReader r(bytes);
-    fresh.LoadState(&r);
-    EXPECT_FALSE(r.ok() && r.AtEnd());
-    if (!r.ok()) {
-      EXPECT_FALSE(r.error().Describe().empty());
-    }
+    const auto error = RestoreFullCut(bytes, &fresh);
+    ASSERT_TRUE(error.has_value());
+    EXPECT_FALSE(error->Describe().empty());
   }
 }
 
 TEST(PagedVmSnapshotTest, FaultInjectedRunResumesIdentically) {
   // The injector's Rng stream is part of the checkpoint: a resumed run must
-  // see the same fault schedule tail.
+  // see the same fault schedule tail.  Frame failures retire frames, which
+  // evicts their pages through the mapper's unmap, TLB included.
   SystemSpec spec = ServeSpec(ReplacementStrategyKind::kLru);
   spec.fault_injection.rates.transient_transfer = 0.05;
+  spec.fault_injection.rates.frame_failure = 0.1;
   spec.fault_injection.seed = 4242;
   const ReferenceTrace trace = VmTrace();
 
   PagedLinearVm straight(PagedConfigFromSpec(spec));
   const std::string expected = StepAll(&straight, trace, 0);
+  ASSERT_GT(straight.pager().stats().reliability.retired_frames, 0u);
 
   const std::size_t cut = trace.refs.size() / 2;
   PagedLinearVm first(PagedConfigFromSpec(spec));
-  for (std::size_t i = 0; i < cut; ++i) {
-    first.Step(trace.refs[i]);
-  }
-  SnapshotWriter w;
-  first.SaveState(&w);
+  StepRange(&first, trace, 0, cut);
   PagedLinearVm resumed(PagedConfigFromSpec(spec));
-  const std::string sealed_bytes = w.Seal();
-  SnapshotReader r(sealed_bytes);
-  resumed.LoadState(&r);
-  ASSERT_TRUE(r.ok() && r.AtEnd()) << r.error().Describe();
+  const auto error = RestoreFullCut(SealFullCut(first), &resumed);
+  ASSERT_FALSE(error.has_value()) << error->Describe();
   EXPECT_EQ(StepAll(&resumed, trace, cut), expected);
 }
 
-// --- Restore cross-checks over mutated page-table chunks.
+// --- Restore cross-checks over mutated, re-sealed sections.
 
 using Sections = std::vector<std::pair<std::string, std::string>>;
 using ChunkEntries = std::vector<std::pair<std::uint32_t, std::uint64_t>>;
@@ -458,86 +471,26 @@ Sections SplitFullSeal(const std::string& sealed) {
   return sections;
 }
 
-// Re-seals sections as a full cut, with a valid checksum.
-std::string SealSections(const Sections& sections) {
+// Re-seals `sections` as a full cut, with a valid checksum, and restores it
+// into a fresh VM built from `config`.
+std::optional<SnapshotError> RestoreSections(const Sections& sections,
+                                             const PagedVmConfig& config) {
   SectionedSnapshotWriter w;
   for (const auto& [name, body] : sections) {
     w.Section(name, body);
   }
-  return w.SealFull();
+  PagedLinearVm vm(config);
+  return RestoreFullCut(w.SealFull(), &vm);
 }
 
-// The flat SaveState cut built from the same section bodies: the flat
-// layout is the sections in order, except that the page-table size (the
-// first field of map.head) leads the chunk bodies and the rest of map.head
-// follows them.
-std::string FlatFromSections(const Sections& sections) {
-  std::string payload;
-  std::string head_tail;
-  for (const auto& [name, body] : sections) {
-    if (name == "map.head") {
-      payload += body.substr(0, 8);
-      head_tail = body.substr(8);
-    } else if (name.starts_with("map.pt.")) {
-      payload += body;
-    } else {
-      payload += head_tail;
-      head_tail.clear();
-      payload += body;
-    }
-  }
-  SnapshotWriter w;
-  for (char c : payload) {
-    w.U8(static_cast<std::uint8_t>(c));
-  }
-  return w.Seal();
-}
-
-// A restore's error on each path; nullopt when that path restored cleanly.
-struct RestoreOutcome {
-  std::optional<SnapshotError> sectioned;
-  std::optional<SnapshotError> flat;
-};
-
-// Restores `sections` into fresh VMs built from `config`, once as a
-// re-sealed sectioned cut and once as the equivalent flat cut.
-RestoreOutcome RestoreBothPaths(const Sections& sections, const PagedVmConfig& config) {
-  RestoreOutcome out;
-  auto resolved = ResolveSectionChain({SealSections(sections)});
-  if (!resolved.has_value()) {
-    out.sectioned = resolved.error();
-  } else {
-    SectionSource src = std::move(resolved.value());
-    PagedLinearVm by_sections(config);
-    by_sections.LoadSections(&src);
-    src.FailIfUnopened();
-    if (!src.ok()) {
-      out.sectioned = src.error();
-    }
-  }
-  const std::string flat_cut = FlatFromSections(sections);
-  SnapshotReader r(flat_cut);
-  PagedLinearVm by_flat(config);
-  by_flat.LoadState(&r);
-  if (!r.ok() || !r.AtEnd()) {
-    out.flat = r.ok() ? SnapshotError{SnapshotErrorKind::kTruncated, "trailing bytes"}
-                      : r.error();
-  }
-  return out;
-}
-
-// Expects both restore paths to reject the cut as kBadValue (and to have
+// Expects the restore to have rejected the cut as kBadValue (and to have
 // returned, not aborted), with `detail` in the error when it is given.
-void ExpectBadValueOnBothPaths(const RestoreOutcome& out, const std::string& what,
-                               const std::string& detail = "") {
-  for (const auto& [path, error] : {std::pair{"sectioned", &out.sectioned},
-                                    std::pair{"flat", &out.flat}}) {
-    ASSERT_TRUE(error->has_value()) << what << ": " << path << " restore succeeded";
-    EXPECT_EQ((*error)->kind, SnapshotErrorKind::kBadValue)
-        << what << ": " << path << ": " << (*error)->Describe();
-    EXPECT_NE((*error)->Describe().find(detail), std::string::npos)
-        << what << ": " << path << ": " << (*error)->Describe();
-  }
+void ExpectBadValue(const std::optional<SnapshotError>& error, const std::string& what,
+                    const std::string& detail = "") {
+  ASSERT_TRUE(error.has_value()) << what << ": restore succeeded";
+  EXPECT_EQ(error->kind, SnapshotErrorKind::kBadValue) << what << ": " << error->Describe();
+  EXPECT_NE(error->Describe().find(detail), std::string::npos)
+      << what << ": " << error->Describe();
 }
 
 ChunkEntries DecodeChunkBody(const std::string& body) {
@@ -568,13 +521,7 @@ TEST(PagedVmSnapshotTest, MutatedPageTableChunkRestoresAsBadValue) {
   for (std::size_t i = 0; i < trace.refs.size() / 2; ++i) {
     vm.Step(trace.refs[i]);
   }
-  SectionedSnapshotWriter w;
-  vm.SaveSections(&w);
-  const Sections sections = SplitFullSeal(w.SealFull());
-  SnapshotWriter flat;
-  vm.SaveState(&flat);
-  // Both paths write the same chunk bodies.
-  ASSERT_EQ(FlatFromSections(sections), flat.Seal());
+  const Sections sections = SplitFullSeal(SealFullCut(vm));
 
   std::size_t chunk = 0;
   while (chunk < sections.size() && sections[chunk].first != "map.pt.0") {
@@ -602,19 +549,18 @@ TEST(PagedVmSnapshotTest, MutatedPageTableChunkRestoresAsBadValue) {
   auto restore = [&](const ChunkEntries& body) {
     Sections mutated = sections;
     mutated[chunk].second = EncodeChunkBody(body);
-    return RestoreBothPaths(mutated, PagedConfigFromSpec(spec));
+    return RestoreSections(mutated, PagedConfigFromSpec(spec));
   };
 
   // The untouched body, re-sealed the same way, restores cleanly.
-  const RestoreOutcome clean = restore(entries);
-  EXPECT_FALSE(clean.sectioned.has_value()) << clean.sectioned->Describe();
-  EXPECT_FALSE(clean.flat.has_value()) << clean.flat->Describe();
+  const auto clean = restore(entries);
+  EXPECT_FALSE(clean.has_value()) << clean->Describe();
 
   const std::vector<std::pair<const char*, ChunkEntries>> mutations = {
       {"frame moved", moved}, {"entry added", added},
       {"entry dropped", dropped}, {"offsets swapped", swapped}};
   for (const auto& [what, body] : mutations) {
-    ExpectBadValueOnBothPaths(restore(body), what);
+    ExpectBadValue(restore(body), what);
   }
 }
 
@@ -648,9 +594,7 @@ Sections MidRunSections(const PagedVmConfig& config) {
   for (std::size_t i = 0; i < trace.refs.size() / 2; ++i) {
     vm.Step(trace.refs[i]);
   }
-  SectionedSnapshotWriter w;
-  vm.SaveSections(&w);
-  return SplitFullSeal(w.SealFull());
+  return SplitFullSeal(SealFullCut(vm));
 }
 
 // vm.pager opens with the frame table: the frame count, then per frame the
@@ -676,17 +620,15 @@ TEST(PagedVmSnapshotTest, PageInTwoOccupiedFramesRestoresAsBadValue) {
   }
   ASSERT_GE(occupied.size(), 2u);
 
-  const RestoreOutcome clean = RestoreBothPaths(sections, config);
-  EXPECT_FALSE(clean.sectioned.has_value()) << clean.sectioned->Describe();
-  EXPECT_FALSE(clean.flat.has_value()) << clean.flat->Describe();
+  const auto clean = RestoreSections(sections, config);
+  EXPECT_FALSE(clean.has_value()) << clean->Describe();
 
   // The second occupied frame claims the first one's page; the frame
   // table's index build must catch it before the mapper cross-check runs.
   Sections mutated = sections;
   PutU64(&mutated[pager].second, FramePageAt(occupied[1]),
          GetU64(body, FramePageAt(occupied[0])));
-  ExpectBadValueOnBothPaths(RestoreBothPaths(mutated, config), "page in two frames",
-                            "two frames");
+  ExpectBadValue(RestoreSections(mutated, config), "page in two frames", "two frames");
 }
 
 TEST(PagedVmSnapshotTest, MutatedAtlasRegisterRestoresAsBadValue) {
@@ -707,9 +649,8 @@ TEST(PagedVmSnapshotTest, MutatedAtlasRegisterRestoresAsBadValue) {
   ASSERT_TRUE(occupied.has_value());
   ASSERT_TRUE(vacant.has_value()) << "the mid-run cut should leave a frame vacant";
 
-  const RestoreOutcome clean = RestoreBothPaths(sections, config);
-  EXPECT_FALSE(clean.sectioned.has_value()) << clean.sectioned->Describe();
-  EXPECT_FALSE(clean.flat.has_value()) << clean.flat->Describe();
+  const auto clean = RestoreSections(sections, config);
+  EXPECT_FALSE(clean.has_value()) << clean->Describe();
 
   // map.head: the register count, then per frame a loaded flag and a page.
   const auto loaded_at = [](std::size_t f) { return 8 + f * 9; };
@@ -718,40 +659,79 @@ TEST(PagedVmSnapshotTest, MutatedAtlasRegisterRestoresAsBadValue) {
     Sections mutated = sections;
     mutated[head].second[loaded_at(f)] = static_cast<char>(loaded ? 1 : 0);
     PutU64(&mutated[head].second, loaded_at(f) + 1, page);
-    return RestoreBothPaths(mutated, config);
+    return RestoreSections(mutated, config);
   };
-  ExpectBadValueOnBothPaths(mutate(*occupied, true, unused_page), "register names another page",
-                            "address map");
-  ExpectBadValueOnBothPaths(mutate(*occupied, false, 0), "occupied frame's register cleared",
-                            "address map");
-  ExpectBadValueOnBothPaths(mutate(*vacant, true, unused_page), "vacant frame holds a register",
-                            "address map");
+  ExpectBadValue(mutate(*occupied, true, unused_page), "register names another page",
+                 "address map");
+  ExpectBadValue(mutate(*occupied, false, 0), "occupied frame's register cleared",
+                 "address map");
+  ExpectBadValue(mutate(*vacant, true, unused_page), "vacant frame holds a register",
+                 "address map");
 }
 
-TEST(PagedVmSnapshotTest, VersionTwoCutIsStale) {
-  // Version 2 still carried the pager's residency map; there is no decode
-  // path for it, only a typed rejection.
+TEST(PagedVmSnapshotTest, MutatedTlbSlotRestoresAsBadValue) {
+  // A TLB slot that disagrees with the frame table would turn a fault into a
+  // hit (or send a hit to the wrong frame) and silently change the
+  // continuation, so the restore must reject it.
+  const SystemSpec spec = ServeSpec(ReplacementStrategyKind::kLru);
+  const PagedVmConfig config = PagedConfigFromSpec(spec);
+  const Sections sections = MidRunSections(config);
+  const std::size_t pager = SectionIndex(sections, "vm.pager");
+  const std::size_t head = SectionIndex(sections, "map.head");
+  ASSERT_LT(pager, sections.size());
+  ASSERT_LT(head, sections.size());
+
+  // map.head: the u64 page count, then the TLB's u64 slot count and per slot
+  // a u64 key (page), value (frame) and last use.
+  const auto key_at = [](std::size_t slot) { return 16 + slot * 24; };
+  const auto value_at = [](std::size_t slot) { return 16 + slot * 24 + 8; };
+  const std::string& tlb = sections[head].second;
+  ASSERT_GE(GetU64(tlb, 8), 2u) << "the mid-run cut should hold two TLB slots";
+  const std::string& frames = sections[pager].second;
+  const std::uint64_t unused_page = 0x7777;  // in the table's range, in no frame
+  for (std::size_t f = 0; f < GetU64(frames, 0); ++f) {
+    ASSERT_FALSE(FrameOccupied(frames, f) && GetU64(frames, FramePageAt(f)) == unused_page);
+  }
+
+  const auto clean = RestoreSections(sections, config);
+  EXPECT_FALSE(clean.has_value()) << clean->Describe();
+
+  const auto restore = [&](const auto& mutate) {
+    Sections mutated = sections;
+    mutate(&mutated[head].second);
+    return RestoreSections(mutated, config);
+  };
+  const std::uint64_t frame_count = GetU64(frames, 0);
+  ExpectBadValue(restore([&](std::string* body) { PutU64(body, key_at(0), unused_page); }),
+                 "slot names a non-resident page", "address map");
+  ExpectBadValue(restore([&](std::string* body) {
+                   PutU64(body, value_at(0), (GetU64(*body, value_at(0)) + 1) % frame_count);
+                 }),
+                 "slot gives its page another frame", "address map");
+  ExpectBadValue(restore([&](std::string* body) {
+                   PutU64(body, key_at(1), GetU64(*body, key_at(0)));
+                   PutU64(body, value_at(1), GetU64(*body, value_at(0)));
+                 }),
+                 "two slots hold one page", "two associative slots");
+}
+
+TEST(PagedVmSnapshotTest, VersionThreeCutIsStale) {
+  // Version 3 still carried the page-table mapper's last-translation line in
+  // map.head, and earlier versions more; there is no decode path for any of
+  // them, only a typed rejection.
   const SystemSpec spec = ServeSpec(ReplacementStrategyKind::kLru);
   const ReferenceTrace trace = VmTrace();
   PagedLinearVm vm(PagedConfigFromSpec(spec));
   for (std::size_t i = 0; i < trace.refs.size() / 2; ++i) {
     vm.Step(trace.refs[i]);
   }
-  SnapshotWriter flat;
-  vm.SaveState(&flat);
-  SectionedSnapshotWriter sectioned;
-  vm.SaveSections(&sectioned);
-  for (std::string cut : {flat.Seal(), sectioned.SealFull()}) {
-    cut[8] = 2;  // version LSB; the header checksum covers the payload only
-    SnapshotReader r(cut);
-    ASSERT_FALSE(r.ok());
-    EXPECT_EQ(r.error().kind, SnapshotErrorKind::kStaleVersion) << r.error().Describe();
+  for (std::uint32_t version = 1; version < kSnapshotFormatVersion; ++version) {
+    std::string cut = SealFullCut(vm);
+    cut[8] = static_cast<char>(version);  // LSB; the header checksum covers the payload only
     PagedLinearVm fresh(PagedConfigFromSpec(spec));
-    fresh.LoadState(&r);
-    EXPECT_EQ(r.error().kind, SnapshotErrorKind::kStaleVersion);
-    const auto resolved = ResolveSectionChain({cut});
-    ASSERT_FALSE(resolved.has_value());
-    EXPECT_EQ(resolved.error().kind, SnapshotErrorKind::kStaleVersion);
+    const auto error = RestoreFullCut(cut, &fresh);
+    ASSERT_TRUE(error.has_value()) << "version " << version;
+    EXPECT_EQ(error->kind, SnapshotErrorKind::kStaleVersion) << error->Describe();
   }
 }
 
@@ -760,8 +740,7 @@ TEST(PagedVmSnapshotTest, FullCutSizeDoesNotScaleWithNameSpace) {
   const ReferenceTrace trace = VmTrace();
   struct Cut {
     std::size_t chunks{0};
-    std::size_t sectioned{0};
-    std::size_t flat{0};
+    std::size_t bytes{0};
   };
   auto cut = [&](int address_bits) {
     PagedVmConfig config = PagedConfigFromSpec(spec);
@@ -770,27 +749,20 @@ TEST(PagedVmSnapshotTest, FullCutSizeDoesNotScaleWithNameSpace) {
     for (const Reference& ref : trace.refs) {
       vm.Step(ref);
     }
-    SectionedSnapshotWriter w;
-    vm.SaveSections(&w);
-    SnapshotWriter f;
-    vm.SaveState(&f);
     return Cut{static_cast<const PageTableMapper&>(vm.mapper()).table().ChunkCount(),
-               w.SealFull().size(), f.Seal().size()};
+               SealFullCut(vm).size()};
   };
   const Cut small = cut(20);
   const Cut large = cut(24);
   ASSERT_GT(large.chunks, small.chunks);
-  const std::size_t extra = large.chunks - small.chunks;
 
-  // Each extra chunk is empty: an 8-byte zero count.  In a sectioned cut it
-  // also carries its section framing: the name string, the inline tag and
-  // the body length.
-  EXPECT_EQ(large.flat - small.flat, 8 * extra);
-  std::size_t framing = 0;
+  // Each extra chunk is empty: an 8-byte zero count, plus its section
+  // framing: the name string, the inline tag and the body length.
+  std::size_t extra = 0;
   for (std::size_t k = small.chunks; k < large.chunks; ++k) {
-    framing += 8 + ("map.pt." + std::to_string(k)).size() + 1 + 8 + 8;
+    extra += 8 + ("map.pt." + std::to_string(k)).size() + 1 + 8 + 8;
   }
-  EXPECT_EQ(large.sectioned - small.sectioned, framing);
+  EXPECT_EQ(large.bytes - small.bytes, extra);
 }
 
 // --- Sectioned snapshots: the delta-checkpoint substrate.
